@@ -13,7 +13,7 @@
 //! holds zero misses far longer; the oracle lower-bounds everyone; DCR is
 //! deterministic but deadline-blind, landing in between.
 //!
-//! Runs as a deterministic parallel sweep (`--jobs N` or `DDCR_JOBS`;
+//! Runs as a deterministic parallel sweep (`--jobs N`, default all cores;
 //! the CSV is byte-identical for every worker count). Writes
 //! `results/exp_baselines.csv` plus per-job timing/cache metadata to
 //! `results/exp_baselines_sweep_stats.csv`.
@@ -86,7 +86,7 @@ fn main() {
     );
 
     // Build the full (load × protocol) grid, then fan it out over the
-    // worker pool. Per-job seeds derive from (master_seed=42, job index),
+    // sweep workers. Per-job seeds derive from (master_seed=42, job index),
     // so the stochastic BEB rows are reproducible for any --jobs value.
     let loads = [1u64, 2, 3, 4];
     let mut grid = SweepGrid::new();

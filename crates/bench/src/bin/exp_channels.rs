@@ -10,8 +10,8 @@
 //! * a peak-load simulation across all channels (delivered / misses /
 //!   drained) — deterministic, identical for every `--jobs`;
 //! * wall-clock for serial (1 worker) vs parallel (`--jobs`, default all
-//!   cores) execution of the same channels — the speedup the worker pool
-//!   buys on this host.
+//!   cores) execution of the same channels — the speedup parallel
+//!   channels buy on this host.
 //!
 //! Writes `results/exp_channels.csv` (deterministic columns only; timing
 //! goes to stdout).

@@ -17,7 +17,7 @@
 //! over ν_i messages per source and can exceed it.
 //!
 //! Runs the `(k, frame)` grid as a deterministic parallel sweep
-//! (`--jobs N` / `DDCR_JOBS`); every cell reads the shared ξ / A tables
+//! (`--jobs N`, default all cores); every cell reads the shared ξ / A tables
 //! through [`ddcr_tree::cache`], so the worst-case and average tables for
 //! the 64-leaf quaternary shape are computed exactly once per process
 //! regardless of the worker count. Writes `results/exp_efficiency.csv`

@@ -8,8 +8,8 @@
 //!   handoffs / rounds / drained) — identical for every `--jobs`,
 //!   asserted on each row;
 //! * wall-clock for serial (1 worker) vs parallel (`--jobs`, default all
-//!   cores) execution of the same federation — the speedup the
-//!   work-stealing pool buys on this host;
+//!   cores) execution of the same federation — the speedup parallel
+//!   segments buy on this host;
 //! * for N=1, a bitwise cross-check against the single-bus engine (the
 //!   epoch-round chunking must be invisible).
 //!

@@ -7,7 +7,7 @@
 //! conditions, for 1–4 busses, plus a peak-load simulation at each
 //! frontier. The provability grid (busses × participant counts) fans out
 //! over the deterministic sweep runner and each frontier validation runs
-//! its channels on the multichannel engine pool, so `--jobs N` changes
+//! its channels on `--jobs` workers of the multichannel runner, so `--jobs N` changes
 //! only wall-clock, never the CSV. Writes `results/exp_multibus.csv`.
 
 use ddcr_bench::report::Csv;
@@ -86,7 +86,7 @@ fn main() {
         assert!(best > 0, "no provable size on {buses} busses");
 
         // Phase 2: validate the frontier point in simulation, channels
-        // fanned over the engine pool.
+        // fanned over the sweep workers.
         let set = scenario::videoconference(best).expect("scenario");
         let c = network::recommended_class_width(&set, 64, &medium);
         let ddcr_config = DdcrConfig::for_sources(best, c).expect("config");

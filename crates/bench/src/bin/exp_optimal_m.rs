@@ -6,8 +6,8 @@
 //! times and reports the winner. Reproduces and generalises the Fig. 2
 //! binary-vs-quaternary comparison.
 //!
-//! The deployment sizes run as a deterministic parallel sweep (`--jobs N`
-//! / `DDCR_JOBS`). Candidate shapes repeat across sizes (e.g. `m = 8`
+//! The deployment sizes run as a deterministic parallel sweep (`--jobs N`,
+//! default all cores). Candidate shapes repeat across sizes (e.g. `m = 8`
 //! rounds up to `t = 64` for both 16 and 64 minimum leaves), so the
 //! shared [`ddcr_tree::cache`] computes each ξ table once per process —
 //! the cache-hit counter in the stats CSV must be non-zero. Writes

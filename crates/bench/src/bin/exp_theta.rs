@@ -15,8 +15,8 @@
 //! compresses time so they enter the tree early (fast completion) at the
 //! price of deadline inversions against the urgent stream.
 //!
-//! The five θ points run as a deterministic parallel sweep (`--jobs N` /
-//! `DDCR_JOBS`; DDCR is deterministic, so results are independent of the
+//! The five θ points run as a deterministic parallel sweep (`--jobs N`,
+//! default all cores; DDCR is deterministic, so results are independent of the
 //! worker count). Writes `results/exp_theta.csv` plus
 //! `results/exp_theta_sweep_stats.csv`.
 

@@ -58,7 +58,7 @@ use std::time::Instant;
 /// the pinned §3.1 capacity win (z=32 infeasible at C=1, provable and
 /// deadline-miss-free at C=4).
 /// Version 5 added the `federation` section: epoch-round bridged-segment
-/// scaling on the work-stealing pool — worker-count equivalence and N=1 ≡
+/// scaling on the shared executor — worker-count equivalence and N=1 ≡
 /// single-bus enforced everywhere, wall-clock speedup gated on hosts with
 /// ≥ [`MIN_GATED_PARALLELISM`] cores.
 /// Version 6 added the `station_scale` section: the active-set scheduler
@@ -82,8 +82,8 @@ pub const MIN_IDLE_SPEEDUP: f64 = 2.0;
 /// and at load 0.8.
 pub const MIN_LOADED_SPEEDUP: f64 = 5.0;
 
-/// Gate threshold: running a saturated 4-channel workload on the
-/// multichannel worker pool must clear at least this wall-clock multiple
+/// Gate threshold: running a saturated 4-channel workload on four workers
+/// of the shared executor must clear at least this wall-clock multiple
 /// over serial channel execution. Only enforced when the measuring host
 /// reports at least [`MIN_GATED_PARALLELISM`] cores — a 4-way speedup
 /// cannot exist on a 1-core box, and the report records the host width so
@@ -95,8 +95,8 @@ pub const MIN_MULTICHANNEL_SPEEDUP: f64 = 2.0;
 /// informational instead of enforced.
 pub const MIN_GATED_PARALLELISM: u64 = 4;
 
-/// Gate threshold: running the bridged-segment federation on the
-/// work-stealing pool must clear at least this wall-clock multiple over
+/// Gate threshold: running the bridged-segment federation on four workers
+/// of the shared executor must clear at least this wall-clock multiple over
 /// serial segment execution. Enforced only when the measuring host
 /// reports at least [`MIN_GATED_PARALLELISM`] cores, exactly like the
 /// multichannel gate; equivalence, completion, bridge traffic, and the
@@ -234,8 +234,8 @@ impl Profile {
     }
 
     /// Arrival horizon for the multichannel scaling workload, in ticks.
-    /// Long enough that per-channel simulation dominates worker-pool
-    /// setup, so the serial/parallel ratio measures real scaling.
+    /// Long enough that per-channel simulation dominates thread start-up,
+    /// so the serial/parallel ratio measures real scaling.
     fn multichannel_horizon(self) -> Ticks {
         match self {
             Profile::Smoke => Ticks(24_000_000),
@@ -419,8 +419,8 @@ impl StationScaleResult {
 }
 
 /// Result of the multichannel scaling measurement: a saturated
-/// 4-channel videoconference fabric run serially (1 worker) and on the
-/// full worker pool, plus the §3.1 capacity facts the gate pins.
+/// 4-channel videoconference fabric run serially (1 worker) and on one
+/// worker per channel, plus the §3.1 capacity facts the gate pins.
 #[derive(Debug, Clone)]
 pub struct MultichannelResult {
     /// Parallel channels in the fabric.
@@ -465,7 +465,7 @@ impl MultichannelResult {
 
 /// Result of the federation scaling measurement: the multichannel
 /// workload re-cast as bridged segments advancing in epoch-aligned
-/// rounds, run serially (1 worker) and on the work-stealing pool, plus
+/// rounds, run serially (1 worker) and on one worker per segment, plus
 /// the two identities the gate pins — worker-count equivalence and
 /// N=1 ≡ single-bus.
 #[derive(Debug, Clone)]
@@ -935,9 +935,10 @@ pub fn measure_station_scale(profile: Profile) -> Vec<StationScaleResult> {
 /// Measures multichannel scaling on the saturated 4-channel workload from
 /// experiment E15: a 32-participant videoconference on gigabit Ethernet —
 /// infeasible on one channel, provably feasible split over four. The same
-/// channels run serially (1 worker) and on the full pool; the report
-/// carries both wall times, the worker-count-equivalence verdict, and the
-/// capacity booleans the gate pins.
+/// channels run serially (1 worker) and on one worker per channel (the
+/// executor clamps that to the host's cores); the report carries both wall
+/// times, the worker-count-equivalence verdict, and the capacity booleans
+/// the gate pins.
 pub fn measure_multichannel(profile: Profile) -> MultichannelResult {
     use ddcr_core::multibus;
 
@@ -1008,11 +1009,11 @@ pub fn measure_multichannel(profile: Profile) -> MultichannelResult {
 }
 
 /// Measures federation scaling: the E15 workload re-cast as four bridged
-/// segments advancing in epoch-aligned rounds on the work-stealing pool,
+/// segments advancing in epoch-aligned rounds on the shared executor,
 /// with every fourth class crossing a bridge. The same federation runs
-/// serially (1 worker) and on the pool; the report carries both wall
-/// times, the worker-count-equivalence verdict, and the N=1 ≡ single-bus
-/// identity that pins the chunked virtual-clock composition.
+/// serially (1 worker) and on one worker per segment; the report carries
+/// both wall times, the worker-count-equivalence verdict, and the N=1 ≡
+/// single-bus identity that pins the chunked virtual-clock composition.
 pub fn measure_federation(profile: Profile) -> FederationResult {
     use ddcr_core::{federate, multibus};
 

@@ -219,40 +219,6 @@ pub fn compare(
         .collect()
 }
 
-/// Runs several protocols over the same workload **concurrently** (one OS
-/// thread per protocol via `crossbeam::scope`). Simulations are
-/// independent and deterministic, so results are identical to [`compare`]
-/// — only wall-clock changes. Useful for the larger experiment sweeps.
-///
-/// # Errors
-///
-/// Propagates the first protocol assembly failure (in `kinds` order).
-pub fn compare_parallel(
-    kinds: &[ProtocolKind],
-    set: &MessageSet,
-    schedule: &[Message],
-    medium: MediumConfig,
-    budget: Ticks,
-) -> Result<Vec<RunSummary>, String> {
-    let slots: parking_lot::Mutex<Vec<Option<Result<RunSummary, String>>>> =
-        parking_lot::Mutex::new(vec![None; kinds.len()]);
-    crossbeam::thread::scope(|scope| {
-        for (index, kind) in kinds.iter().enumerate() {
-            let slots = &slots;
-            scope.spawn(move |_| {
-                let result = run_protocol(kind, set, schedule, medium, budget);
-                slots.lock()[index] = Some(result);
-            });
-        }
-    })
-    .map_err(|_| "a simulation thread panicked".to_owned())?;
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every slot filled"))
-        .collect()
-}
-
 fn run_engine(
     engine: &mut Engine,
     schedule: &[Message],
@@ -326,29 +292,6 @@ mod tests {
         .unwrap();
         assert_eq!(oracle.collisions, 0);
         assert!(oracle.max_latency <= ddcr.max_latency);
-    }
-
-    #[test]
-    fn parallel_compare_matches_sequential() {
-        let (set, schedule) = workload();
-        let medium = MediumConfig::ethernet();
-        let kinds = [
-            ProtocolKind::Ddcr(default_ddcr_config(&set, &medium)),
-            ProtocolKind::CsmaCd(QueueDiscipline::Fifo, 1),
-            ProtocolKind::Dcr(QueueDiscipline::Fifo),
-            ProtocolKind::NpEdf,
-        ];
-        let sequential =
-            compare(&kinds, &set, &schedule, medium, Ticks(1_000_000_000)).unwrap();
-        let parallel =
-            compare_parallel(&kinds, &set, &schedule, medium, Ticks(1_000_000_000)).unwrap();
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.protocol, b.protocol);
-            assert_eq!(a.delivered, b.delivered);
-            assert_eq!(a.misses, b.misses);
-            assert_eq!(a.max_latency, b.max_latency);
-            assert_eq!(a.total_ticks, b.total_ticks);
-        }
     }
 
     #[test]

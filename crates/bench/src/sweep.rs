@@ -7,9 +7,9 @@
 //!
 //! * every job's RNG seed is derived from `(master_seed, job_index)` via
 //!   [`ddcr_sim::rng::job_seed`] — never from worker identity or clock;
-//! * jobs are pulled from a shared counter by a pool of
-//!   `crossbeam`-scoped worker threads and results are reassembled **in
-//!   job order** on the fan-in channel;
+//! * jobs run on the shared ordered executor ([`ddcr_sim::exec`]), which
+//!   returns results **in job order** — inline when one worker (or one
+//!   core) is all there is;
 //! * shared read-only state (the `ξ_k^t` tables of [`ddcr_tree::cache`])
 //!   is memoized behind a lock, and a pure function of the tree shape.
 //!
@@ -22,15 +22,14 @@
 //! Two layers:
 //!
 //! * [`run_indexed`] — generic fan-out of `count` indexed jobs over the
-//!   pool; each job closure gets a [`JobContext`] (index + derived seed)
+//!   executor; each job closure gets a [`JobContext`] (index + derived seed)
 //!   and may return any `Send` value.
 //! * [`SweepGrid`] — a grid of protocol-comparison jobs returning
 //!   [`RunSummary`]s, the common case for the `exp_*` binaries.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ddcr_sim::{MediumConfig, Message, Ticks};
+use ddcr_sim::{exec, MediumConfig, Message, Ticks};
 use ddcr_traffic::MessageSet;
 use ddcr_tree::cache::{self, CacheStats};
 
@@ -56,30 +55,41 @@ impl SweepConfig {
     }
 
     /// Resolves the worker count like the `exp_*` binaries do: an explicit
-    /// `--jobs` value wins, then the `DDCR_JOBS` environment variable,
-    /// then all available cores.
+    /// `--jobs` value wins, else all available cores.
     #[must_use]
     pub fn resolve(jobs_flag: Option<usize>, master_seed: u64) -> Self {
-        let workers = jobs_flag
-            .or_else(|| std::env::var("DDCR_JOBS").ok().and_then(|s| s.parse().ok()))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
+        let workers = jobs_flag.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
         SweepConfig::new(workers, master_seed)
     }
 }
 
-/// Scans raw process arguments for a `--jobs N` pair (the experiment
+/// Parses the `--jobs N` pair out of raw process arguments (the experiment
 /// binaries take no other flags, so a full parser is not warranted).
+///
+/// # Errors
+///
+/// A `--jobs` with no value, or a value that is not a worker count.
+fn parse_jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
+    let Some(at) = args.iter().position(|arg| arg == "--jobs") else {
+        return Ok(None);
+    };
+    let value = args.get(at + 1).ok_or("--jobs needs a value")?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("--jobs expects a worker count, got {value:?}"))
+}
+
+/// The `--jobs N` value of this process's arguments, if given. A malformed
+/// value is fatal: it prints the error and exits with status 2.
 #[must_use]
 pub fn jobs_flag_from_args() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find_map(|pair| {
-        if pair[0] == "--jobs" {
-            pair[1].parse().ok()
-        } else {
-            None
-        }
+    parse_jobs_flag(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
     })
 }
 
@@ -153,76 +163,42 @@ impl<T> IndexedReport<T> {
     }
 }
 
-/// Fans `count` jobs out over a worker pool and reassembles results in
-/// job order.
+/// Fans `count` jobs out over the ordered executor ([`exec::map_ordered`]).
 ///
-/// The closure runs once per index with that job's [`JobContext`]. Worker
-/// threads pull indices from a shared counter, so completion order is
-/// arbitrary — but the output vector is ordered by index and every seed
-/// is a pure function of `(master_seed, index)`, making the value part of
-/// the report independent of `config.workers`.
+/// The closure runs once per index with that job's [`JobContext`].
+/// Completion order is arbitrary, but the output vector is ordered by
+/// index and every seed is a pure function of `(master_seed, index)`,
+/// making the value part of the report independent of `config.workers`.
 ///
 /// # Panics
 ///
-/// Propagates the first job panic (after the scope joins all workers).
+/// Propagates the first job panic.
 pub fn run_indexed<T, F>(config: SweepConfig, count: usize, job: F) -> IndexedReport<T>
 where
     T: Send,
     F: Fn(JobContext) -> T + Sync,
 {
     let started = Instant::now();
-    let workers = config.workers.min(count.max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<JobOutcome<T>>();
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move |_| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let context = JobContext {
-                    index,
-                    seed: ddcr_sim::rng::job_seed(config.master_seed, index as u64),
-                };
-                let cache_before = cache::thread_stats();
-                let job_started = Instant::now();
-                let value = job(context);
-                let outcome = JobOutcome {
-                    index,
-                    seed: context.seed,
-                    wall: job_started.elapsed(),
-                    cache: cache::thread_stats().since(cache_before),
-                    value,
-                };
-                if tx.send(outcome).is_err() {
-                    break;
-                }
-            });
+    let outcomes = exec::map_ordered(config.workers, vec![(); count], |index, ()| {
+        let context = JobContext {
+            index,
+            seed: ddcr_sim::rng::job_seed(config.master_seed, index as u64),
+        };
+        let cache_before = cache::thread_stats();
+        let job_started = Instant::now();
+        let value = job(context);
+        JobOutcome {
+            index,
+            seed: context.seed,
+            wall: job_started.elapsed(),
+            cache: cache::thread_stats().since(cache_before),
+            value,
         }
-    })
-    .unwrap_or_else(|_| panic!("a sweep worker panicked"));
-    drop(tx);
-
-    let mut slots: Vec<Option<JobOutcome<T>>> = (0..count).map(|_| None).collect();
-    for outcome in rx.iter() {
-        let index = outcome.index;
-        slots[index] = Some(outcome);
-    }
-    let outcomes: Vec<JobOutcome<T>> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} produced no outcome")))
-        .collect();
-
+    });
     IndexedReport {
         outcomes,
         wall_clock: started.elapsed(),
-        workers,
+        workers: exec::workers(config.workers, count),
     }
 }
 
@@ -298,7 +274,7 @@ impl SweepGrid {
         self.jobs.is_empty()
     }
 
-    /// Runs the grid on the worker pool. Results come back in job order;
+    /// Runs the grid on the shared executor. Results come back in job order;
     /// the deterministic part ([`SweepOutcome::summary`]) is bitwise
     /// independent of `config.workers`.
     #[must_use]
@@ -464,17 +440,32 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped_to_job_count() {
+        // The report names the threads that actually ran: never more than
+        // the jobs, and never more than the host's cores.
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let report = run_indexed(SweepConfig::new(64, 0), 3, |ctx| ctx.index);
-        assert_eq!(report.workers, 3);
+        assert_eq!(report.workers, 3.min(host));
         assert_eq!(report.outcomes.len(), 3);
     }
 
     #[test]
-    fn resolve_prefers_flag_over_env() {
+    fn resolve_uses_flag_else_host_cores() {
         let config = SweepConfig::resolve(Some(5), 1);
         assert_eq!(config.workers, 5);
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(SweepConfig::resolve(None, 1).workers, host);
         let config = SweepConfig::new(0, 1);
         assert_eq!(config.workers, 1, "zero workers clamps to one");
+    }
+
+    #[test]
+    fn jobs_flag_rejects_malformed_values() {
+        let args = |list: &[&str]| list.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert_eq!(parse_jobs_flag(&args(&["exp"])), Ok(None));
+        assert_eq!(parse_jobs_flag(&args(&["exp", "--jobs", "8"])), Ok(Some(8)));
+        assert!(parse_jobs_flag(&args(&["exp", "--jobs", "abc"])).is_err());
+        assert!(parse_jobs_flag(&args(&["exp", "--jobs", "-1"])).is_err());
+        assert!(parse_jobs_flag(&args(&["exp", "--jobs"])).is_err());
     }
 
     #[test]

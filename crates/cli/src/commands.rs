@@ -64,12 +64,12 @@ COMMANDS
   sweep        compare all protocols over a peak-load workload, in parallel
                  --scenario ... --sources Z
                  [--horizon-ms H] [--seed S] [--jobs J] [--medium ...]
-                 (J worker threads; default from DDCR_JOBS or core count;
+                 (J worker threads; default: core count;
                   results are identical for every J)
   multibus     per-bus feasibility over parallel media
                  --scenario ... --sources Z --buses B [--medium ...]
   run          multichannel parallel DDCR: shard the medium over C channels,
-                 one deterministic engine per channel on a worker pool, with
+                 one deterministic engine per channel on J workers, with
                  per-channel xi budgets, metrics, optional channel-tagged
                  JSONL trace, and optional per-channel fault plans
                  --scenario ... --sources Z [--channels C] [--jobs J]
@@ -80,8 +80,8 @@ COMMANDS
                  or: --segments N [--epoch-ms E] [same flags, minus
                  --channels]: federated DDCR — N bridged segments advance
                  in epoch-aligned rounds on a shared virtual clock, transit
-                 classes handed off at epoch boundaries, scheduled over a
-                 work-stealing pool of J workers (output and trace are
+                 classes handed off at epoch boundaries, segments advanced
+                 on J workers (output and trace are
                  identical for every J; N=1 trace is byte-identical to
                  `ddcr trace`; see docs/FEDERATION.md)
   check        bounded exhaustive model check of the protocol

@@ -6,7 +6,7 @@
 //! station attached — behind store-and-forward bridges, the way the
 //! paper's single-segment analysis composes into a campus fabric. The
 //! execution semantics (shared virtual clock, deterministic bridge
-//! queues, work-stealing worker pool, bitwise worker-count independence)
+//! queues, the shared ordered executor, bitwise worker-count independence)
 //! live in [`ddcr_sim::federation`]; this layer adds the DDCR assembly:
 //! one [`DdcrStation`](crate::DdcrStation) per source on every segment,
 //! classes partitioned over segments by load, live observed-ξ checks from

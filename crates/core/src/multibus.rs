@@ -17,15 +17,15 @@
 //!   ([`channel_budgets`]);
 //! * a **parallel multichannel runner** ([`run_channels`] /
 //!   [`run_channels_with`]): one independent [`ddcr_sim::Engine`] per
-//!   channel, advanced by a crossbeam worker pool using the same
-//!   deterministic fan-out/fan-in pattern as the bench sweep runner.
-//!   Each channel is a self-contained deterministic simulation, so the
-//!   [`MultichannelReport`] is byte-identical for any worker count, and a
-//!   one-channel run is bitwise equal to the single-bus engine.
+//!   channel, run as a route-free [`ddcr_sim::federation`] of one round
+//!   spanning the whole budget. Each channel is a self-contained
+//!   deterministic simulation, so the [`MultichannelReport`] is
+//!   byte-identical for any worker count, and a one-channel run is
+//!   bitwise equal to the single-bus engine.
 //!
-//! Metrics, JSONL traces and fault plans all route per channel: every
-//! engine gets its own observed-ξ windows, its own headerless trace
-//! buffer (merged into one channel-tagged document by
+//! Metrics, JSONL traces and fault plans all route per channel exactly as
+//! they do per segment: every engine gets its own observed-ξ windows, its
+//! own headerless trace buffer (merged into one channel-tagged document by
 //! [`MultichannelReport::write_trace`]) and its own fault plan seeded via
 //! [`ddcr_sim::rng::job_seed`]`(master, channel)`.
 
@@ -34,18 +34,19 @@ use crate::error::DdcrError;
 use crate::feasibility::{self, FeasibilityReport};
 use crate::indices::StaticAllocation;
 use crate::network;
-use ddcr_sim::{
-    ChannelStats, ClassId, Engine, FaultPlan, FaultRates, JsonlSink, MediumConfig, Message,
-    SimMetrics, Ticks,
-};
+use ddcr_sim::federation::{run_federation, FederationOptions};
+use ddcr_sim::{ChannelStats, ClassId, Engine, MediumConfig, Message, SimMetrics, Ticks};
 use ddcr_traffic::{MessageClass, MessageSet};
 use ddcr_tree::multi::MultiTreeProblem;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Per-channel fault injection for a multichannel run: channel `c`'s plan
+/// is generated with seed [`ddcr_sim::rng::job_seed`]`(master_seed, c)`,
+/// so plans are independent across channels yet fully replayable.
+pub use ddcr_sim::federation::FederationFaultSpec as FaultSpec;
 
 /// A partition of message classes over parallel broadcast channels.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -279,23 +280,11 @@ pub fn channel_budgets(
     Ok(budgets)
 }
 
-/// Per-channel fault injection for a multichannel run: channel `c`'s plan
-/// is generated with seed [`ddcr_sim::rng::job_seed`]`(master_seed, c)`,
-/// so plans are independent across channels yet fully replayable.
-#[derive(Debug, Clone)]
-pub struct FaultSpec {
-    /// Master seed the per-channel plan seeds derive from.
-    pub master_seed: u64,
-    /// Fault rates applied on every channel.
-    pub rates: FaultRates,
-    /// Plan horizon in slots.
-    pub horizon_slots: u64,
-}
-
 /// Options for a multichannel run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads advancing channels (clamped to `[1, channels]`).
+    /// Worker threads advancing channels (clamped by
+    /// [`ddcr_sim::exec::workers`]).
     pub workers: usize,
     /// Completion give-up horizon per channel.
     pub budget: Ticks,
@@ -356,7 +345,7 @@ pub struct ChannelOutcome {
 pub struct MultichannelReport {
     /// One outcome per channel, channel order.
     pub channels: Vec<ChannelOutcome>,
-    /// Worker threads used.
+    /// Worker threads the channels ran on.
     pub workers: usize,
     /// End-to-end wall clock (non-deterministic; excluded from the
     /// determinism contract).
@@ -412,131 +401,32 @@ impl MultichannelReport {
     ///
     /// Propagates writer I/O errors.
     pub fn write_trace(&self, writer: &mut dyn Write) -> io::Result<u64> {
-        let mut events = 0u64;
-        if self.channels.len() == 1 {
-            writer.write_all(ddcr_sim::schema_header().as_bytes())?;
-            if let Some(buf) = &self.channels[0].trace {
-                writer.write_all(buf)?;
-                events += buf.iter().filter(|&&b| b == b'\n').count() as u64;
-            }
-        } else {
-            writer.write_all(ddcr_sim::multichannel_header(self.channels.len()).as_bytes())?;
-            for outcome in &self.channels {
-                let Some(buf) = &outcome.trace else { continue };
-                let tag = format!("{{\"channel\":{},", outcome.channel);
-                for line in buf.split(|&b| b == b'\n') {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    // Every event line starts with '{'; splice the channel
-                    // tag in as the first field.
-                    writer.write_all(tag.as_bytes())?;
-                    writer.write_all(&line[1..])?;
-                    writer.write_all(b"\n")?;
-                    events += 1;
-                }
-            }
-        }
-        Ok(events)
+        let parts: Vec<Option<&[u8]>> = self.channels.iter().map(|c| c.trace.as_deref()).collect();
+        ddcr_sim::write_merged(
+            writer,
+            &ddcr_sim::multichannel_header(parts.len()),
+            "channel",
+            &parts,
+        )
     }
-}
-
-/// A `Write` implementation over a shared byte buffer, letting the
-/// channel runner recover what a consumed [`JsonlSink`] wrote.
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().expect("trace buffer lock").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-fn run_one_channel<F>(
-    set: &MessageSet,
-    assignment: &ChannelAssignment,
-    channel: usize,
-    messages: &[Message],
-    options: &RunOptions,
-    build: &F,
-) -> Result<ChannelOutcome, DdcrError>
-where
-    F: Fn(usize, &MessageSet) -> Result<Engine, DdcrError>,
-{
-    let projected = assignment.project(set, channel)?;
-    let mut engine = build(channel, &projected)?;
-    if options.metrics {
-        engine.enable_metrics();
-    }
-    if let Some(cap) = options.retention {
-        engine.set_retention(Some(cap), Some(cap));
-    }
-    let trace_buf = if options.trace {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        engine.set_trace_sink(JsonlSink::headerless(Box::new(SharedBuf(Arc::clone(&buf)))));
-        Some(buf)
-    } else {
-        None
-    };
-    let mut fault_events = 0usize;
-    if let Some(spec) = &options.faults {
-        let plan = FaultPlan::generate(
-            ddcr_sim::rng::job_seed(spec.master_seed, channel as u64),
-            set.sources(),
-            spec.horizon_slots,
-            &spec.rates,
-        );
-        fault_events = plan.len();
-        engine.set_fault_plan(plan);
-    }
-    engine
-        .add_arrivals(messages.iter().copied())
-        .map_err(|e| DdcrError::InvalidConfig(format!("schedule rejected: {e}")))?;
-    let completed = engine.run_to_completion(options.budget).is_ok();
-    let metrics = engine.take_metrics();
-    if let Some(sink) = engine.take_trace_sink() {
-        sink.finish()
-            .map_err(|e| DdcrError::InvalidConfig(format!("trace sink failed: {e}")))?;
-    }
-    let stats = engine.into_stats();
-    let trace = trace_buf.map(|buf| {
-        Arc::try_unwrap(buf)
-            .expect("sink consumed, buffer unshared")
-            .into_inner()
-            .expect("trace buffer lock")
-    });
-    Ok(ChannelOutcome {
-        channel,
-        classes: projected.classes().len(),
-        scheduled: messages.len(),
-        completed,
-        fault_events,
-        stats,
-        metrics,
-        trace,
-    })
 }
 
 /// Runs a schedule over parallel channels with a custom per-channel engine
 /// builder (`build(channel, projected_set)`); the DDCR path is
-/// [`run_channels`]. Channels share no physical state, so each one is an
-/// independent deterministic simulation advanced by a crossbeam worker
-/// pool: workers pull channel indices from a shared counter and results
-/// are reassembled in channel order on a fan-in channel — the bench sweep
-/// runner's pattern. The report is bitwise identical for any
+/// [`run_channels`]. Channels share no physical state, so the run is a
+/// route-free [`ddcr_sim::federation`] whose single epoch spans the whole
+/// budget: every channel's engine runs to completion on the federation's
+/// ordered executor. The report is bitwise identical for any
 /// `options.workers`.
 ///
 /// # Errors
 ///
 /// Propagates assembly failures from any channel (lowest channel index
-/// first).
+/// first) and rejected schedules.
 ///
 /// # Panics
 ///
-/// Propagates the first worker panic.
+/// Propagates the first channel panic.
 pub fn run_channels_with<F>(
     set: &MessageSet,
     schedule: Vec<Message>,
@@ -545,70 +435,50 @@ pub fn run_channels_with<F>(
     build: &F,
 ) -> Result<MultichannelReport, DdcrError>
 where
-    F: Fn(usize, &MessageSet) -> Result<Engine, DdcrError> + Sync,
+    F: Fn(usize, &MessageSet) -> Result<Engine, DdcrError>,
 {
     let started = Instant::now();
-    let channels = assignment.channels();
-    let per_channel = assignment.split_schedule(schedule);
-    let workers = options.workers.max(1).min(channels);
-
-    let mut slots: Vec<Option<Result<ChannelOutcome, DdcrError>>> =
-        (0..channels).map(|_| None).collect();
-    if workers == 1 {
-        // Serial path: same per-channel runner, no pool — so serial vs
-        // parallel wall-clock comparisons isolate pure scheduling.
-        for (channel, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_one_channel(
-                set,
-                assignment,
-                channel,
-                &per_channel[channel],
-                options,
-                build,
-            ));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) =
-            crossbeam::channel::unbounded::<(usize, Result<ChannelOutcome, DdcrError>)>();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let per_channel = &per_channel;
-                scope.spawn(move |_| loop {
-                    let channel = next.fetch_add(1, Ordering::Relaxed);
-                    if channel >= channels {
-                        break;
-                    }
-                    let outcome = run_one_channel(
-                        set,
-                        assignment,
-                        channel,
-                        &per_channel[channel],
-                        options,
-                        build,
-                    );
-                    if tx.send((channel, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
+    let mut classes = Vec::with_capacity(assignment.channels());
+    let mut engines = Vec::with_capacity(assignment.channels());
+    for channel in 0..assignment.channels() {
+        let projected = assignment.project(set, channel)?;
+        classes.push(projected.classes().len());
+        engines.push(build(channel, &projected)?);
+    }
+    let federation = FederationOptions {
+        epoch: Ticks(options.budget.0.max(1)),
+        workers: options.workers,
+        budget: options.budget,
+        metrics: options.metrics,
+        trace: options.trace,
+        retention: options.retention,
+        faults: options.faults.clone(),
+    };
+    let report = run_federation(
+        engines,
+        assignment.split_schedule(schedule),
+        &[],
+        &federation,
+    )
+    .map_err(|e| DdcrError::InvalidConfig(format!("channel run rejected: {e}")))?;
+    let channels = report
+        .segments
+        .into_iter()
+        .zip(classes)
+        .map(|(segment, classes)| ChannelOutcome {
+            channel: segment.segment,
+            classes,
+            scheduled: segment.scheduled,
+            completed: segment.completed,
+            fault_events: segment.fault_events,
+            stats: segment.stats,
+            metrics: segment.metrics,
+            trace: segment.trace,
         })
-        .unwrap_or_else(|_| panic!("a channel worker panicked"));
-        drop(tx);
-        for (channel, outcome) in rx.iter() {
-            slots[channel] = Some(outcome);
-        }
-    }
-
-    let mut outcomes = Vec::with_capacity(channels);
-    for (channel, slot) in slots.into_iter().enumerate() {
-        outcomes.push(slot.unwrap_or_else(|| panic!("channel {channel} produced no outcome"))?);
-    }
+        .collect();
     Ok(MultichannelReport {
-        channels: outcomes,
-        workers,
+        channels,
+        workers: report.workers,
         wall: started.elapsed(),
     })
 }
@@ -677,8 +547,22 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddcr_sim::SourceId;
+    use ddcr_sim::{FaultRates, JsonlSink, SourceId};
     use ddcr_traffic::{scenario, DensityBound, ScheduleBuilder};
+    use std::sync::{Arc, Mutex};
+
+    /// A `Write` over a shared buffer, to read back what a sink wrote.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn setup(z: u32) -> (MessageSet, DdcrConfig, StaticAllocation, MediumConfig) {
         let set = scenario::videoconference(z).unwrap();

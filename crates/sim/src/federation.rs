@@ -26,14 +26,17 @@
 //!   the origin copy and every handoff carry `d / hops` (at least one
 //!   tick), so per-segment feasibility analysis composes into the
 //!   end-to-end bound.
-//! * **Work-stealing worker pool.** Within a round the segments are
-//!   independent simulations; they are scheduled over
-//!   [`FederationOptions::workers`] threads via per-worker deques with
-//!   steal-on-idle. Because the barrier work (handoff generation, id
-//!   assignment) is serial and every segment is itself deterministic, the
-//!   report is **bitwise identical for any worker count**, and a
-//!   federation of one segment is bitwise identical to the plain
-//!   single-bus engine.
+//! * **Ordered executor.** Within a round the segments are independent
+//!   simulations; [`crate::exec::map_ordered`] advances them on up to
+//!   [`FederationOptions::workers`] threads, inline when that resolves to
+//!   one. Because the barrier work (handoff generation, id assignment) is
+//!   serial and every segment is itself deterministic, the report is
+//!   **bitwise identical for any worker count**, and a federation of one
+//!   segment is bitwise identical to the plain single-bus engine.
+//!
+//! A route-free federation run for one epoch spanning the whole budget is
+//! exactly a set of independent engines run to completion — which is how
+//! the multichannel runner executes its channels.
 //!
 //! ```
 //! use ddcr_sim::{federation::{run_federation, FederationOptions}, Ticks};
@@ -50,21 +53,21 @@
 //! ```
 
 use crate::engine::{Engine, SimError};
+use crate::exec;
 use crate::fault::{FaultPlan, FaultRates};
 use crate::message::{ClassId, Message, MessageId, SourceId};
 use crate::metrics::SimMetrics;
 use crate::rng::job_seed;
 use crate::stats::ChannelStats;
 use crate::time::Ticks;
-use crate::trace::{federation_header, schema_header, JsonlSink};
-use std::collections::{HashMap, VecDeque};
+use crate::trace::{federation_header, write_merged, JsonlSink};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Locks a mutex, proceeding with the data even if a sibling worker
-/// panicked while holding it (the scope join rethrows that panic anyway,
-/// so no state behind a poisoned lock is ever observed by callers).
+/// Locks a trace buffer, proceeding with the data even if a panicking
+/// segment poisoned it (the executor rethrows that panic anyway).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -89,9 +92,9 @@ pub struct FederationOptions {
     /// Segments synchronise (and bridge traffic is exchanged) at every
     /// multiple of this value. Must be positive.
     pub epoch: Ticks,
-    /// Worker threads for the per-round segment fan-out. `1` runs the
-    /// segments serially on the caller's thread; the results are bitwise
-    /// identical either way.
+    /// Worker threads for the per-round segment fan-out, clamped by
+    /// [`crate::exec::workers`]; one runs the segments inline on the
+    /// caller's thread. The results are bitwise identical either way.
     pub workers: usize,
     /// Give-up horizon on the shared clock: the run stops at the first
     /// epoch boundary at or beyond this many ticks.
@@ -180,7 +183,7 @@ pub struct FederationReport {
     pub rounds: u64,
     /// Total bridge handoffs exchanged at epoch boundaries.
     pub handoffs: u64,
-    /// Worker threads used.
+    /// Worker threads the rounds ran on (see [`crate::exec::workers`]).
     pub workers: usize,
     /// End-to-end wall clock (non-deterministic; excluded from the
     /// determinism contract).
@@ -235,32 +238,8 @@ impl FederationReport {
     ///
     /// Propagates writer I/O errors.
     pub fn write_trace(&self, writer: &mut dyn Write) -> io::Result<u64> {
-        let mut events = 0u64;
-        if self.segments.len() == 1 {
-            writer.write_all(schema_header().as_bytes())?;
-            if let Some(buf) = &self.segments[0].trace {
-                writer.write_all(buf)?;
-                events += buf.iter().filter(|&&b| b == b'\n').count() as u64;
-            }
-        } else {
-            writer.write_all(federation_header(self.segments.len()).as_bytes())?;
-            for outcome in &self.segments {
-                let Some(buf) = &outcome.trace else { continue };
-                let tag = format!("{{\"segment\":{},", outcome.segment);
-                for line in buf.split(|&b| b == b'\n') {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    // Every event line starts with '{'; splice the segment
-                    // tag in as the first field.
-                    writer.write_all(tag.as_bytes())?;
-                    writer.write_all(&line[1..])?;
-                    writer.write_all(b"\n")?;
-                    events += 1;
-                }
-            }
-        }
-        Ok(events)
+        let parts: Vec<Option<&[u8]>> = self.segments.iter().map(|s| s.trace.as_deref()).collect();
+        write_merged(writer, &federation_header(parts.len()), "segment", &parts)
     }
 }
 
@@ -275,104 +254,6 @@ impl Write for SharedBuf {
     }
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// Per-worker deques with steal-on-idle: task `t` is seeded onto deque
-/// `t % workers`; a worker pops its own deque from the front and, when
-/// empty, steals from the **back** of the longest other deque. This
-/// generalises the bench sweep's shared-counter fan-out: with balanced
-/// seeds behaviour matches round-robin, while a worker stuck on one long
-/// segment sheds its remaining queue to idle peers.
-struct WorkQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkQueues {
-    fn new(workers: usize, tasks: usize) -> Self {
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for task in 0..tasks {
-            lock(&deques[task % workers]).push_back(task);
-        }
-        WorkQueues { deques }
-    }
-
-    /// Next task for `worker`: own front, else steal from the longest
-    /// victim's back; `None` once every deque is empty.
-    fn next(&self, worker: usize) -> Option<usize> {
-        if let Some(task) = lock(&self.deques[worker]).pop_front() {
-            return Some(task);
-        }
-        loop {
-            let mut victim: Option<(usize, usize)> = None;
-            for (v, deque) in self.deques.iter().enumerate() {
-                if v == worker {
-                    continue;
-                }
-                let len = lock(deque).len();
-                if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-                    victim = Some((v, len));
-                }
-            }
-            let (v, _) = victim?;
-            if let Some(task) = lock(&self.deques[v]).pop_back() {
-                return Some(task);
-            }
-            // Lost the race to another thief; rescan for a new victim.
-        }
-    }
-}
-
-/// A segment slot shuttled between rounds: the engine plus its
-/// drained-at-last-boundary flag.
-struct RoundSlot {
-    engine: Option<Engine>,
-    drained: bool,
-}
-
-/// Advances every segment to `deadline`, serially or over the worker
-/// pool. The segments share no state, so the interleaving chosen by the
-/// pool cannot affect any engine's history.
-fn run_round(slots: &mut [RoundSlot], deadline: Ticks, workers: usize) {
-    if workers <= 1 || slots.len() <= 1 {
-        for slot in slots.iter_mut() {
-            if let Some(engine) = slot.engine.as_mut() {
-                slot.drained = engine.run_until_drained(deadline);
-            }
-        }
-        return;
-    }
-    let shared: Vec<Mutex<RoundSlot>> = slots
-        .iter_mut()
-        .map(|slot| {
-            Mutex::new(RoundSlot {
-                engine: slot.engine.take(),
-                drained: slot.drained,
-            })
-        })
-        .collect();
-    let queues = WorkQueues::new(workers, shared.len());
-    crossbeam::thread::scope(|scope| {
-        for worker in 0..workers {
-            let queues = &queues;
-            let shared = &shared;
-            scope.spawn(move |_| {
-                while let Some(task) = queues.next(worker) {
-                    let mut guard = lock(&shared[task]);
-                    if let Some(engine) = guard.engine.as_mut() {
-                        let drained = engine.run_until_drained(deadline);
-                        guard.drained = drained;
-                    }
-                }
-            });
-        }
-    })
-    .unwrap_or_else(|_| panic!("a federation worker panicked"));
-    for (slot, cell) in slots.iter_mut().zip(shared) {
-        let inner = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
-        slot.engine = inner.engine;
-        slot.drained = inner.drained;
     }
 }
 
@@ -466,7 +347,7 @@ fn per_hop_deadline(end_to_end: Ticks, hops: usize) -> Ticks {
 /// station that does not exist; trace-sink I/O failures surface as
 /// [`SimError::InvalidFederation`].
 pub fn run_federation(
-    engines: Vec<Engine>,
+    mut engines: Vec<Engine>,
     schedules: Vec<Vec<Message>>,
     routes: &[BridgeRoute],
     options: &FederationOptions,
@@ -501,12 +382,11 @@ pub fn run_federation(
         .max()
         .unwrap_or(0);
 
-    let mut slots: Vec<RoundSlot> = Vec::with_capacity(n);
     let mut trace_bufs: Vec<Option<Arc<Mutex<Vec<u8>>>>> = Vec::with_capacity(n);
     let mut fault_events = vec![0usize; n];
     let mut scheduled = vec![0usize; n];
     let mut injected = vec![0usize; n];
-    for (segment, mut engine) in engines.into_iter().enumerate() {
+    for (segment, (engine, schedule)) in engines.iter_mut().zip(schedules).enumerate() {
         if options.metrics {
             engine.enable_metrics();
         }
@@ -533,29 +413,22 @@ pub fn run_federation(
             fault_events[segment] = plan.len();
             engine.set_fault_plan(plan);
         }
-        // Origin schedule; routed classes get their per-hop deadline share.
-        let arrivals: Vec<Message> = schedules[segment]
-            .iter()
-            .map(|original| {
-                let mut message = *original;
-                if let Some(route) = by_class.get(&message.class) {
-                    message.deadline = per_hop_deadline(message.deadline, route.path.len());
-                }
-                message
-            })
-            .collect();
-        scheduled[segment] = arrivals.len();
-        engine.add_arrivals(arrivals)?;
-        slots.push(RoundSlot {
-            engine: Some(engine),
-            drained: false,
-        });
+        // Origin schedule, consumed so no copy outlives the hand-over;
+        // routed classes get their per-hop deadline share.
+        scheduled[segment] = schedule.len();
+        engine.add_arrivals(schedule.into_iter().map(|mut message| {
+            if let Some(route) = by_class.get(&message.class) {
+                message.deadline = per_hop_deadline(message.deadline, route.path.len());
+            }
+            message
+        }))?;
     }
 
     // Completion-order cursor into each segment's delivery log: deliveries
     // before the cursor have already been scanned for handoffs.
     let mut cursors = vec![0usize; n];
     let mut pending: Vec<Vec<Message>> = vec![Vec::new(); n];
+    let mut drained = vec![false; n];
     let mut rounds = 0u64;
     let mut handoffs = 0u64;
     loop {
@@ -571,51 +444,55 @@ pub fn run_federation(
                 continue;
             }
             injected[segment] += arrivals.len();
-            if let Some(engine) = slots[segment].engine.as_mut() {
-                engine.add_arrivals(arrivals.drain(..))?;
-            }
-            slots[segment].drained = false;
+            engines[segment].add_arrivals(arrivals.drain(..))?;
+            drained[segment] = false;
         }
-        run_round(&mut slots, boundary, options.workers);
+        // The segments share no state, so the executor's interleaving
+        // cannot affect any engine's history.
+        (engines, drained) = exec::map_ordered(options.workers, engines, |_, mut engine| {
+            let drained = engine.run_until_drained(boundary);
+            (engine, drained)
+        })
+        .into_iter()
+        .unzip();
         rounds += 1;
 
         // Serial barrier: harvest this round's deliveries into next
         // round's bridge queues. Segment order then completion order
         // fixes the id sequence — no worker interleaving can reorder it.
+        // Without routes nothing can be handed off, so the scan is skipped.
         let mut exchanged = false;
-        for segment in 0..n {
-            let Some(engine) = slots[segment].engine.as_ref() else {
-                continue;
-            };
-            let deliveries = &engine.stats().deliveries;
-            for delivery in &deliveries[cursors[segment]..] {
-                let Some(route) = by_class.get(&delivery.message.class) else {
-                    continue;
-                };
-                let Some(hop) = route.path.iter().position(|&s| s == segment) else {
-                    continue;
-                };
-                if hop + 1 >= route.path.len() {
-                    continue; // final hop: delivered end-to-end
+        if !by_class.is_empty() {
+            for (segment, engine) in engines.iter().enumerate() {
+                let deliveries = &engine.stats().deliveries;
+                for delivery in &deliveries[cursors[segment]..] {
+                    let Some(route) = by_class.get(&delivery.message.class) else {
+                        continue;
+                    };
+                    let Some(hop) = route.path.iter().position(|&s| s == segment) else {
+                        continue;
+                    };
+                    if hop + 1 >= route.path.len() {
+                        continue; // final hop: delivered end-to-end
+                    }
+                    let next_segment = route.path[hop + 1];
+                    pending[next_segment].push(Message {
+                        id: MessageId(next_id),
+                        source: route.entry[hop],
+                        class: delivery.message.class,
+                        bits: delivery.message.bits,
+                        arrival: boundary,
+                        deadline: delivery.message.deadline,
+                    });
+                    next_id += 1;
+                    handoffs += 1;
+                    exchanged = true;
                 }
-                let next_segment = route.path[hop + 1];
-                pending[next_segment].push(Message {
-                    id: MessageId(next_id),
-                    source: route.entry[hop],
-                    class: delivery.message.class,
-                    bits: delivery.message.bits,
-                    arrival: boundary,
-                    deadline: delivery.message.deadline,
-                });
-                next_id += 1;
-                handoffs += 1;
-                exchanged = true;
+                cursors[segment] = deliveries.len();
             }
-            cursors[segment] = deliveries.len();
         }
 
-        let all_drained = slots.iter().all(|slot| slot.drained);
-        if all_drained && !exchanged {
+        if drained.iter().all(|&d| d) && !exchanged {
             break;
         }
         if boundary >= options.budget {
@@ -625,38 +502,29 @@ pub fn run_federation(
         }
     }
 
-    let queued_handoffs: Vec<bool> = pending.iter().map(|p| !p.is_empty()).collect();
     let mut segments = Vec::with_capacity(n);
-    for (segment, slot) in slots.into_iter().enumerate() {
-        let Some(mut engine) = slot.engine else {
-            continue;
-        };
+    for (segment, (mut engine, buf)) in engines.into_iter().zip(trace_bufs).enumerate() {
         let metrics = engine.take_metrics();
         if let Some(sink) = engine.take_trace_sink() {
             sink.finish()
                 .map_err(|e| SimError::InvalidFederation(format!("trace sink failed: {e}")))?;
         }
-        let stats = engine.into_stats();
-        let trace = trace_bufs[segment].take().map(|buf| match Arc::try_unwrap(buf) {
-            Ok(inner) => inner.into_inner().unwrap_or_else(PoisonError::into_inner),
-            Err(shared) => lock(&shared).clone(),
-        });
         segments.push(SegmentOutcome {
             segment,
             scheduled: scheduled[segment],
             injected: injected[segment],
-            completed: slot.drained && !queued_handoffs[segment],
+            completed: drained[segment] && pending[segment].is_empty(),
             fault_events: fault_events[segment],
-            stats,
+            stats: engine.into_stats(),
             metrics,
-            trace,
+            trace: buf.map(|buf| std::mem::take(&mut *lock(&buf))),
         });
     }
     Ok(FederationReport {
         segments,
         rounds,
         handoffs,
-        workers: options.workers.max(1),
+        workers: exec::workers(options.workers, n),
         wall: started.elapsed(),
     })
 }
@@ -690,31 +558,6 @@ mod tests {
             arrival: Ticks(arrival),
             deadline: Ticks(4_000_000),
         }
-    }
-
-    #[test]
-    fn work_queues_serve_each_task_exactly_once() {
-        let queues = WorkQueues::new(3, 10);
-        // Worker 0 drains everything: its own seed plus steals.
-        let mut seen: Vec<usize> = std::iter::from_fn(|| queues.next(0)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        for worker in 0..3 {
-            assert_eq!(queues.next(worker), None);
-        }
-    }
-
-    #[test]
-    fn stealing_takes_from_the_back_of_the_longest_deque() {
-        // 2 workers, 5 tasks: deque 0 = [0, 2, 4], deque 1 = [1, 3].
-        let queues = WorkQueues::new(2, 5);
-        assert_eq!(queues.next(1), Some(1));
-        assert_eq!(queues.next(1), Some(3));
-        // Deque 1 empty: worker 1 steals the *back* of deque 0.
-        assert_eq!(queues.next(1), Some(4));
-        assert_eq!(queues.next(0), Some(0));
-        assert_eq!(queues.next(0), Some(2));
-        assert_eq!(queues.next(0), None);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 mod channel;
 mod engine;
+pub mod exec;
 mod fault;
 pub mod federation;
 mod membership;
@@ -58,8 +59,9 @@ pub use station::{AttemptCycleHint, HoldHint, SearchHint, SearchSlotRecord, Stat
 pub use stats::{ChannelStats, QuantileError};
 pub use time::Ticks;
 pub use trace::{
-    federation_header, multichannel_header, schema_header, JsonlSink, Trace, TraceEvent,
-    TRACE_FEDERATION_VERSION, TRACE_MULTICHANNEL_VERSION, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
+    federation_header, multichannel_header, schema_header, write_merged, JsonlSink, Trace,
+    TraceEvent, TRACE_FEDERATION_VERSION, TRACE_MULTICHANNEL_VERSION, TRACE_SCHEMA,
+    TRACE_SCHEMA_VERSION,
 };
 
 #[cfg(test)]

@@ -216,6 +216,48 @@ pub fn federation_header(segments: usize) -> String {
     )
 }
 
+/// Writes one merged JSONL document from per-part headerless event buffers
+/// (`None`: that part captured no trace).
+///
+/// One part: the plain schema-version-1 stream — byte-identical to the
+/// single-bus export. Several parts: `header` followed by every part's
+/// events in part order, each line tagged `{"<tag>":<index>,` as its first
+/// field. Returns the number of event lines written.
+///
+/// # Errors
+///
+/// Propagates writer I/O errors.
+pub fn write_merged(
+    writer: &mut dyn Write,
+    header: &str,
+    tag: &str,
+    parts: &[Option<&[u8]>],
+) -> io::Result<u64> {
+    if let [single] = parts {
+        let buf = single.unwrap_or_default();
+        writer.write_all(schema_header().as_bytes())?;
+        writer.write_all(buf)?;
+        return Ok(buf.iter().filter(|&&b| b == b'\n').count() as u64);
+    }
+    writer.write_all(header.as_bytes())?;
+    let mut events = 0u64;
+    for (index, buf) in parts.iter().enumerate() {
+        let prefix = format!("{{\"{tag}\":{index},");
+        for line in buf.unwrap_or_default().split(|&b| b == b'\n') {
+            if line.is_empty() {
+                continue;
+            }
+            // Every event line starts with '{'; splice the tag in as the
+            // first field.
+            writer.write_all(prefix.as_bytes())?;
+            writer.write_all(&line[1..])?;
+            writer.write_all(b"\n")?;
+            events += 1;
+        }
+    }
+    Ok(events)
+}
+
 /// A streaming JSONL sink for channel traces.
 ///
 /// Unlike the bounded in-memory [`Trace`], a sink writes every event as one
@@ -253,9 +295,9 @@ impl JsonlSink {
 
     /// Wraps a writer WITHOUT emitting the schema header line.
     ///
-    /// The multichannel runner buffers each channel's event lines through a
-    /// headerless sink and writes one merged, channel-tagged document (with
-    /// a single [`multichannel_header`]) itself.
+    /// The federation (and so the multichannel runner) buffers each
+    /// segment's event lines through a headerless sink and merges them into
+    /// one tagged document with [`write_merged`].
     pub fn headerless(writer: Box<dyn Write + Send>) -> Self {
         JsonlSink {
             writer,

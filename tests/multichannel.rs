@@ -1,12 +1,16 @@
 //! Multichannel engine integration tests: a C=1 multichannel run is the
 //! single-bus engine, bit for bit, for every protocol and collision mode;
-//! and channel projections partition the message set exactly — classes
-//! and scheduled messages alike.
+//! a C>1 run is C independently run engines, bit for bit, faults and
+//! timeouts included; and channel projections partition the message set
+//! exactly — classes and scheduled messages alike.
 
 use ddcr_baseline::QueueDiscipline;
 use ddcr_core::{multibus, network, DdcrError};
 use ddcr_integration::ddcr_setup;
-use ddcr_sim::{CollisionMode, Engine, MediumConfig, SourceId, Ticks};
+use ddcr_sim::rng::job_seed;
+use ddcr_sim::{
+    CollisionMode, Engine, FaultPlan, FaultRates, JsonlSink, MediumConfig, SourceId, Ticks,
+};
 use ddcr_traffic::{scenario, MessageSet, ScheduleBuilder};
 use proptest::prelude::*;
 
@@ -95,17 +99,7 @@ fn single_channel_matches_single_bus_for_all_protocols_and_modes() {
             let mut engine = build_protocol(protocol, &set, medium).expect("engine");
             engine.enable_metrics();
             let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-            impl std::io::Write for Shared {
-                fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                    self.0.lock().unwrap().extend_from_slice(data);
-                    Ok(data.len())
-                }
-                fn flush(&mut self) -> std::io::Result<()> {
-                    Ok(())
-                }
-            }
-            engine.set_trace_sink(ddcr_sim::JsonlSink::new(Box::new(Shared(buf.clone()))));
+            engine.set_trace_sink(JsonlSink::new(Box::new(Shared(buf.clone()))));
             engine.add_arrivals(schedule).expect("arrivals");
             let completed = engine.run_to_completion(BUDGET).is_ok();
             let metrics = engine.take_metrics();
@@ -132,7 +126,7 @@ fn single_channel_matches_single_bus_for_all_protocols_and_modes() {
 }
 
 /// And the parallel path must agree with the serial path for non-DDCR
-/// builders too — the pool is protocol-agnostic.
+/// builders too — the runner is protocol-agnostic.
 #[test]
 fn worker_pool_is_protocol_agnostic() {
     let medium = MediumConfig::gigabit_ethernet();
@@ -155,6 +149,107 @@ fn worker_pool_is_protocol_agnostic() {
         let parallel = run(4);
         for (a, b) in serial.channels.iter().zip(&parallel.channels) {
             assert_eq!(a.stats, b.stats, "{protocol}: worker count leaked into results");
+        }
+    }
+}
+
+/// A `Write` over a shared buffer, to read back what a sink wrote.
+struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for Shared {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(data);
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A multichannel run is nothing but C independent engines: for C ∈
+/// {2, 3, 4}, under crash/corrupt/erase plans and with one budget too
+/// tight to drain, `run_channels` equals each channel's projection built
+/// with `network::build_engine` and run to completion on its own — stats,
+/// metrics and trace bytes alike.
+#[test]
+fn channels_equal_independently_run_engines() {
+    let medium = MediumConfig::gigabit_ethernet();
+    let (set, schedule) = workload(8, &medium);
+    let (config, allocation) = ddcr_setup(&set, &medium);
+    let faults = multibus::FaultSpec {
+        master_seed: 11,
+        rates: FaultRates {
+            corrupt: 0.002,
+            erase: 0.002,
+            crash: 0.0002,
+            down_slots: 32,
+        },
+        horizon_slots: 20_000,
+    };
+    for (channels, budget) in [(2, BUDGET), (3, BUDGET), (4, BUDGET), (3, Ticks(2_000_000))] {
+        let assignment = multibus::balance_by_load(&set, channels);
+        let mut options = multibus::RunOptions::new(budget);
+        options.workers = channels;
+        options.metrics = true;
+        options.trace = true;
+        options.faults = Some(faults.clone());
+        let report = multibus::run_channels(
+            &set,
+            schedule.clone(),
+            &assignment,
+            &config,
+            &allocation,
+            medium,
+            &options,
+        )
+        .expect("multichannel run");
+        assert_eq!(report.channels.len(), channels);
+        assert!(report.channels.iter().any(|c| c.fault_events > 0));
+
+        let split = assignment.split_schedule(schedule.clone());
+        for (channel, (outcome, messages)) in report.channels.iter().zip(split).enumerate() {
+            let case = format!("C={channels} budget={budget:?} channel {channel}");
+            let projected = assignment.project(&set, channel).expect("projection");
+            let mut engine =
+                network::build_engine(&projected, &config, &allocation, medium).expect("engine");
+            let (time, static_) = network::xi_bound_tables(&config).expect("tables");
+            engine.set_xi_bounds(time, static_);
+            engine.enable_metrics();
+            let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            engine.set_trace_sink(JsonlSink::headerless(Box::new(Shared(buf.clone()))));
+            let plan = FaultPlan::generate(
+                job_seed(faults.master_seed, channel as u64),
+                set.sources(),
+                faults.horizon_slots,
+                &faults.rates,
+            );
+            assert_eq!(outcome.fault_events, plan.len(), "{case}");
+            engine.set_fault_plan(plan);
+            engine.add_arrivals(messages).expect("arrivals");
+            let completed = engine.run_to_completion(budget).is_ok();
+            let metrics = engine.take_metrics();
+            engine
+                .take_trace_sink()
+                .expect("sink")
+                .finish()
+                .expect("finish");
+            let stats = engine.into_stats();
+
+            assert_eq!(outcome.completed, completed, "{case}");
+            assert_eq!(outcome.stats, stats, "{case}: stats diverge");
+            assert_eq!(
+                format!("{:?}", outcome.metrics),
+                format!("{metrics:?}"),
+                "{case}: metrics diverge"
+            );
+            assert_eq!(
+                outcome.trace.as_deref(),
+                Some(buf.lock().unwrap().as_slice()),
+                "{case}: trace bytes diverge"
+            );
+        }
+        if budget != BUDGET {
+            assert!(!report.completed(), "the tight budget must time out");
         }
     }
 }
