@@ -10,7 +10,7 @@
 
 use crate::queue::{LocalQueue, QueueDiscipline};
 use ddcr_sim::rng::{derive_seed, seeded_rng};
-use ddcr_sim::{Action, Frame, HoldHint, Message, Observation, SourceId, Station, Ticks, WakeHint};
+use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -196,27 +196,6 @@ impl Station for CsmaCdStation {
         self.backoff = self.backoff.saturating_sub(slots);
     }
 
-    fn hold_hint(&self, _now: Ticks) -> HoldHint {
-        if self.queue.is_empty() {
-            // Nothing to send; busy slots only drain the backoff counter.
-            HoldHint::Quiet(u64::MAX)
-        } else if self.backoff > 0 {
-            // 1-persistent again once the backoff expires — which elapses
-            // with channel time regardless of what occupied it.
-            HoldHint::Quiet(self.backoff)
-        } else {
-            // Uncontested, the station streams its whole queue: every
-            // success resets `attempts` and leaves `backoff` at zero.
-            HoldHint::Hold(self.queue.len() as u64)
-        }
-    }
-
-    fn skip_busy(&mut self, _from: Ticks, frames: &[Frame], _slot: Ticks) {
-        // A foreign busy slot only decrements the backoff counter (the
-        // frames belong to the holding station, never to this queue).
-        self.backoff = self.backoff.saturating_sub(frames.len() as u64);
-    }
-
     fn label(&self) -> String {
         format!("csma-cd:{}", self.source)
     }
@@ -225,7 +204,7 @@ impl Station for CsmaCdStation {
         // With an empty queue the station can only be woken by `deliver`:
         // poll() returns Idle regardless of backoff, and every observation
         // merely decrements the backoff counter — which the batched
-        // `observe`/`skip_silence`/`skip_busy` catch-up replays exactly.
+        // `observe`/`skip_silence` catch-up replays exactly.
         if self.queue.is_empty() {
             WakeHint::Dormant
         } else {

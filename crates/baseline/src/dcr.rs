@@ -12,7 +12,7 @@
 
 use crate::queue::{LocalQueue, QueueDiscipline};
 use ddcr_core::mts::{MtsEvent, MtsSearch, SlotOutcome};
-use ddcr_sim::{Action, Frame, HoldHint, Message, Observation, SourceId, Station, Ticks};
+use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks};
 use ddcr_tree::TreeShape;
 use serde::{Deserialize, Serialize};
 
@@ -250,38 +250,6 @@ impl Station for DcrStation {
     fn skip_silence(&mut self, _from: Ticks, _slots: u64, _slot: Ticks) {
         // Only reachable while Normal with an empty queue (see
         // `next_ready`), where a silence observation changes nothing.
-    }
-
-    fn hold_hint(&self, _now: Ticks) -> HoldHint {
-        match (&self.phase, self.queue.is_empty()) {
-            // A backlogged station in Normal phase streams its queue: each
-            // uncontested success pops the head and stays Normal (only a
-            // collision opens an epoch).
-            (Phase::Normal, false) => HoldHint::Hold(self.queue.len() as u64),
-            // Nothing to send: `poll` is Idle in every phase, and busy
-            // slots are absorbed exactly by `skip_busy`.
-            (_, true) => HoldHint::Quiet(u64::MAX),
-            // Mid-epoch with pending work: this station may transmit the
-            // moment its leaf is probed.
-            (Phase::Resolving(_), false) => HoldHint::Contend,
-        }
-    }
-
-    fn skip_busy(&mut self, from: Ticks, frames: &[Frame], _slot: Ticks) {
-        match self.phase {
-            // Foreign successes change nothing in Normal phase —
-            // `note_success` only pops this station's own frames.
-            Phase::Normal => {}
-            // Mid-epoch, every success advances the tree search: replay.
-            Phase::Resolving(_) => {
-                let mut at = from;
-                for frame in frames {
-                    let next_free = at + frame.duration();
-                    self.observe(at, next_free, &Observation::Busy(*frame));
-                    at = next_free;
-                }
-            }
-        }
     }
 
     fn label(&self) -> String {

@@ -9,7 +9,7 @@
 //! latency any distributed MAC can achieve on the same workload, so
 //! experiment E8 uses it as the floor of the comparison.
 
-use ddcr_sim::{Action, Frame, HoldHint, Message, Observation, SourceId, Station, Ticks, WakeHint};
+use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint};
 use std::collections::VecDeque;
 
 /// The centralized NP-EDF oracle: one [`Station`] that owns every queue.
@@ -127,21 +127,6 @@ impl Station for NpEdfOracle {
 
     fn skip_silence(&mut self, _from: Ticks, _slots: u64, _slot: Ticks) {
         // Silence observations are a no-op (see `observe`).
-    }
-
-    fn hold_hint(&self, _now: Ticks) -> HoldHint {
-        // The oracle transmits its head unconditionally whenever it holds
-        // work: a drain of the whole queue is one committed busy run.
-        if self.queue.is_empty() {
-            HoldHint::Quiet(u64::MAX)
-        } else {
-            HoldHint::Hold(self.queue.len() as u64)
-        }
-    }
-
-    fn skip_busy(&mut self, _from: Ticks, _frames: &[Frame], _slot: Ticks) {
-        // Foreign busy slots are a no-op: message ids are globally unique,
-        // so another station's frame can never match this queue's head.
     }
 
     fn label(&self) -> String {

@@ -1,6 +1,6 @@
 //! Criterion benches for the engine hot path: idle fast-forward slot
 //! throughput (optimized vs the retained reference stepper), loaded
-//! (busy-period) fast-forward throughput on a bursting DDCR drain,
+//! fast-forward throughput on a bursting DDCR drain,
 //! protocol drain rates at several station counts and loads, and EDF
 //! queue push/pop throughput.
 //!

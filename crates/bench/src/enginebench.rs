@@ -10,17 +10,17 @@
 //!    off, the pre-overhaul poll-everyone slot loop). Reports slot
 //!    throughput for both and their ratio; the gate requires the speedup
 //!    to be ≥ 2× and the two runs to produce identical [`ChannelStats`].
-//! 2. **Loaded fast-forward** — a busy-heavy scenario (clustered
-//!    small-message arrivals draining through bursting DDCR) run with all
-//!    three fast-forward switches plus the active-set scheduler on versus
-//!    the full reference stepper (all four disabled), across a
-//!    stations × load grid. The gate requires ≥ 5× at load 0.5 **and** at
-//!    load 0.8 on the ≥ 32-station scenario and identical statistics
-//!    everywhere.
+//! 2. **Loaded fast-forward** — a bursting drain (clustered small-message
+//!    arrivals draining through bursting DDCR) run with every tier on —
+//!    the idle and contention fast-forward switches plus the active-set
+//!    scheduler — versus the full reference stepper (all three disabled),
+//!    across a stations × load grid. The gate requires ≥ 5× at load 0.5
+//!    **and** at load 0.8 on the ≥ 32-station scenario and identical
+//!    statistics everywhere.
 //! 3. **Contention fast-forward** — a contention-heavy scenario
 //!    (simultaneous arrival waves forcing whole tree searches, no
 //!    bursting) run with the contention tier on versus off while the idle
-//!    and busy tiers stay on in both runs, isolating the third tier's
+//!    tier stays on in both runs, isolating the contention tier's
 //!    contribution. The gate requires identical statistics and proof via
 //!    telemetry that the tier actually engaged (`search_skip_runs > 0`).
 //! 4. **Protocol drain** — DDCR, CSMA-CD and NP-EDF draining the same
@@ -28,8 +28,8 @@
 //!    ticks per wall-clock second.
 //! 5. **Station scale** — a sparse DDCR workload (one backlogged station
 //!    at a time) swept across station counts 64→4096, run with the
-//!    active-set scheduler on versus off while all three fast-forward
-//!    tiers stay on in both runs, isolating the fourth tier's
+//!    active-set scheduler on versus off while both fast-forward tiers
+//!    stay on in both runs, isolating the active-set tier's
 //!    contribution. The gate requires ≥ 5× wall-clock at n ≥ 2048 and
 //!    identical statistics at every grid point; the report also carries
 //!    the poll-count telemetry (`polls` / `station_slots`) showing the
@@ -76,8 +76,7 @@ pub const REPORT_PATH: &str = "BENCH_engine.json";
 /// scenario.
 pub const MIN_IDLE_SPEEDUP: f64 = 2.0;
 
-/// Gate threshold: with all three fast-forward switches on, the engine
-/// must clear at least this wall-clock multiple over the full reference
+/// Gate threshold: with every tier on, the engine must clear at least this wall-clock multiple over the full reference
 /// stepper on the loaded (≥ 32 stations) bursting scenario, at load 0.5
 /// and at load 0.8.
 pub const MIN_LOADED_SPEEDUP: f64 = 5.0;
@@ -105,7 +104,7 @@ pub const MIN_FEDERATION_SPEEDUP: f64 = 2.0;
 
 /// Gate threshold: with the active-set scheduler on, the engine must
 /// clear at least this wall-clock multiple over the active-set-off engine
-/// (all three fast-forward tiers held on in both runs) on the sparse
+/// (both fast-forward tiers held on in both runs) on the sparse
 /// station-scale sweep, at every grid point with at least
 /// [`STATION_SCALE_GATED_AT`] stations.
 pub const MIN_STATION_SCALE_SPEEDUP: f64 = 5.0;
@@ -321,7 +320,7 @@ impl LoadedResult {
 
 /// Result of the contention fast-forward measurement (simultaneous
 /// arrival waves forcing whole tree searches, contention tier on vs off
-/// with the idle and busy tiers held on in both runs).
+/// with the idle tier held on in both runs).
 #[derive(Debug, Clone)]
 pub struct ContentionResult {
     /// Stations on the channel.
@@ -380,9 +379,9 @@ pub struct DrainResult {
 }
 
 /// Result of one station-scale measurement (sparse DDCR workload with one
-/// backlogged station at a time, active-set scheduler on vs off with all
-/// three fast-forward tiers held on in both runs — the speedup isolates
-/// the fourth tier's contribution).
+/// backlogged station at a time, active-set scheduler on vs off with both
+/// fast-forward tiers held on in both runs — the speedup isolates the
+/// active-set tier's contribution).
 #[derive(Debug, Clone)]
 pub struct StationScaleResult {
     /// Stations on the channel.
@@ -528,7 +527,7 @@ pub struct BenchReport {
     pub profile: Profile,
     /// Idle fast-forward measurement.
     pub idle: IdleResult,
-    /// Loaded (busy-period) fast-forward grid.
+    /// Loaded (bursting drain) fast-forward grid.
     pub loaded: Vec<LoadedResult>,
     /// Contention (tree-search) fast-forward measurement.
     pub contention: ContentionResult,
@@ -621,7 +620,7 @@ pub fn measure_idle(profile: Profile) -> IdleResult {
 /// Clustered small-message workload for the loaded measurement: each
 /// station receives bursts of `CLUSTER_MESSAGES` 1000-bit messages, cluster
 /// start times staggered across stations so the channel mostly carries
-/// committed bursts rather than contention. The cluster period is sized so
+/// DDCR bursts rather than contention. The cluster period is sized so
 /// the total offered load is `load`.
 pub fn loaded_workload(
     stations: u32,
@@ -655,7 +654,7 @@ pub fn loaded_workload(
 }
 
 /// One loaded run: bursting DDCR over `schedule`, either fully optimized
-/// (all three fast-forward switches on) or on the full reference stepper.
+/// (every tier on) or on the full reference stepper.
 /// Returns the final statistics and whether the drain completed.
 pub fn run_loaded(
     set: &MessageSet,
@@ -663,10 +662,10 @@ pub fn run_loaded(
     medium: MediumConfig,
     optimized: bool,
 ) -> (ChannelStats, bool) {
-    // Bursting is what turns a cluster drain into committed multi-slot
-    // holds — the regime the busy fast-forward path exists for. The budget
-    // widened beyond the 512-byte 802.3z default keeps a whole cluster in
-    // one burst.
+    // Bursting turns a cluster drain into multi-frame channel holds, which
+    // the contention tier chorus-steps with the holder engaged and every
+    // other station quiet. The budget widened beyond the 512-byte 802.3z
+    // default keeps a whole cluster in one burst.
     let config = default_ddcr_config(set, &medium).with_bursting(BurstConfig {
         max_extra_bits: 32_768,
     });
@@ -675,7 +674,6 @@ pub fn run_loaded(
     let mut engine =
         network::build_engine(set, &config, &allocation, medium).expect("engine assembly");
     engine.set_fast_forward(optimized);
-    engine.set_busy_fast_forward(optimized);
     engine.set_contention_fast_forward(optimized);
     engine.set_active_set(optimized);
     engine.set_retention(Some(0), Some(0));
@@ -684,9 +682,9 @@ pub fn run_loaded(
     (engine.into_stats(), completed)
 }
 
-/// Measures the loaded (busy-heavy) scenario grid with the fully optimized
-/// engine and the full reference stepper. The `(≥ 32 stations, load 0.5)`
-/// entry is the busy-period perf-gate headline number.
+/// Measures the loaded (bursting drain) scenario grid with the fully
+/// optimized engine and the full reference stepper. The `(≥ 32 stations,
+/// load 0.5)` entry is the loaded perf-gate headline number.
 pub fn measure_loaded(profile: Profile) -> Vec<LoadedResult> {
     let medium = MediumConfig::ethernet();
     let mut out = Vec::new();
@@ -745,9 +743,9 @@ pub fn contention_workload(stations: u32, waves: u64) -> (MessageSet, Vec<Messag
     (set, schedule)
 }
 
-/// One contention run: non-bursting DDCR over `schedule` with the idle and
-/// busy tiers on in **both** configurations, toggling only the contention
-/// tier — the speedup isolates the third tier's contribution. Returns the
+/// One contention run: non-bursting DDCR over `schedule` with the idle
+/// tier on in **both** configurations, toggling only the contention tier
+/// — the speedup isolates the contention tier's contribution. Returns the
 /// final statistics and whether the drain completed.
 pub fn run_contention(
     set: &MessageSet,
@@ -761,7 +759,6 @@ pub fn run_contention(
     let mut engine =
         network::build_engine(set, &config, &allocation, medium).expect("engine assembly");
     engine.set_fast_forward(true);
-    engine.set_busy_fast_forward(true);
     engine.set_contention_fast_forward(contention);
     engine.set_retention(Some(0), Some(0));
     engine.add_arrivals(schedule.to_vec()).expect("arrivals route");
@@ -875,8 +872,8 @@ pub fn station_scale_workload(stations: u32, rounds: u64) -> (MessageSet, Vec<Me
     (set, schedule)
 }
 
-/// One station-scale run: non-bursting DDCR over `schedule` with all
-/// three fast-forward tiers on and the active-set scheduler toggled.
+/// One station-scale run: non-bursting DDCR over `schedule` with both
+/// fast-forward tiers on and the active-set scheduler toggled.
 /// Returns the final statistics, completion, `poll()` count, and decision
 /// slots resolved.
 pub fn run_station_scale(
@@ -891,7 +888,6 @@ pub fn run_station_scale(
     let mut engine =
         network::build_engine(set, &config, &allocation, medium).expect("engine assembly");
     engine.set_fast_forward(true);
-    engine.set_busy_fast_forward(true);
     engine.set_contention_fast_forward(true);
     engine.set_active_set(active_set);
     engine.add_arrivals(schedule.to_vec()).expect("arrivals route");

@@ -104,13 +104,12 @@ COMMANDS
                  [--medium ...]  (see docs/OBSERVABILITY.md)
   trace        stream the slot-level channel trace of a DDCR run as JSONL
                  --scenario ... --sources Z --out PATH
-                 [--stepper fast|reference] [--busy-skip on|off]
-                 [--contention-skip on|off] [--active-set on|off]
-                 [--horizon-ms H] [--medium ...]
+                 [--stepper fast|reference] [--contention-skip on|off]
+                 [--active-set on|off] [--horizon-ms H] [--medium ...]
                  (the byte stream is identical for every stepper,
-                  busy-skip, contention-skip, and active-set combination;
-                  the independent switches exist for bisecting a
-                  divergence to one fast path)
+                  contention-skip, and active-set combination; the
+                  independent switches exist for bisecting a divergence
+                  to one fast path)
   bench-engine engine hot-path perf suite; writes the BENCH_engine.json gate
                  [--profile smoke|full] [--out PATH]  (see docs/PERF.md)
   serve        long-running online admission control: JSONL requests on
@@ -1130,7 +1129,6 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
         "horizon-ms",
         "out",
         "stepper",
-        "busy-skip",
         "contention-skip",
         "active-set",
     ])
@@ -1145,21 +1143,9 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
         "reference" => false,
         other => return Err(format!("unknown stepper `{other}` (fast|reference)")),
     };
-    // Busy-period fast-forward toggles independently of the idle stepper so
-    // a trace divergence can be bisected to one of the two fast paths.
+    // Contention (tree-search) fast-forward toggles independently of the
+    // idle stepper so a trace divergence can be bisected to one fast path.
     // `--stepper reference` alone still disables it (full reference run).
-    let busy_skip = args.get("busy-skip").unwrap_or(if fast_forward {
-        "on"
-    } else {
-        "off"
-    });
-    let busy_fast_forward = match busy_skip {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown busy-skip `{other}` (on|off)")),
-    };
-    // Contention (tree-search) fast-forward is the third independent
-    // switch of the bisection matrix, with the same default rule.
     let contention_skip = args.get("contention-skip").unwrap_or(if fast_forward {
         "on"
     } else {
@@ -1170,7 +1156,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
         "off" => false,
         other => return Err(format!("unknown contention-skip `{other}` (on|off)")),
     };
-    // The active-set scheduler is the fourth independent switch of the
+    // The active-set scheduler is the third independent switch of the
     // bisection matrix, with the same default rule.
     let active_set_arg = args.get("active-set").unwrap_or(if fast_forward {
         "on"
@@ -1189,7 +1175,6 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
         .map_err(|e| e.to_string())?;
     engine.set_fast_forward(fast_forward);
-    engine.set_busy_fast_forward(busy_fast_forward);
     engine.set_contention_fast_forward(contention_fast_forward);
     engine.set_active_set(active_set);
     let file = std::fs::File::create(out_path)
@@ -1204,7 +1189,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     let stats = engine.into_stats();
     Ok(format!(
-        "wrote {events} events ({} v{}, {stepper} stepper, busy-skip {busy_skip}, \
+        "wrote {events} events ({} v{}, {stepper} stepper, \
          contention-skip {contention_skip}, active-set {active_set_arg}) to {out_path}\n\
          delivered {}, collisions {}, {} simulated ticks\n",
         ddcr_sim::TRACE_SCHEMA,
@@ -1776,23 +1761,20 @@ mod tests {
     fn trace_exports_are_bitwise_identical_across_steppers() {
         let dir = std::env::temp_dir().join("ddcr_cli_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        // Full bisection matrix: idle stepper x busy-skip x
-        // contention-skip x active-set. Every byte stream must be
-        // identical to the full reference run (the last entry).
+        // Full bisection matrix: idle stepper x contention-skip x
+        // active-set. Every byte stream must be identical to the full
+        // reference run (the last entry).
         let mut matrix = Vec::new();
         for stepper in ["fast", "reference"] {
-            for busy_skip in ["on", "off"] {
-                for contention_skip in ["on", "off"] {
-                    for active_set in ["on", "off"] {
-                        let path = dir.join(format!(
-                            "{stepper}_{busy_skip}_{contention_skip}_{active_set}.jsonl"
-                        ));
-                        matrix.push((stepper, busy_skip, contention_skip, active_set, path));
-                    }
+            for contention_skip in ["on", "off"] {
+                for active_set in ["on", "off"] {
+                    let path =
+                        dir.join(format!("{stepper}_{contention_skip}_{active_set}.jsonl"));
+                    matrix.push((stepper, contention_skip, active_set, path));
                 }
             }
         }
-        for (stepper, busy_skip, contention_skip, active_set, path) in &matrix {
+        for (stepper, contention_skip, active_set, path) in &matrix {
             let out = run_line(&[
                 "trace",
                 "--scenario",
@@ -1805,8 +1787,6 @@ mod tests {
                 "4",
                 "--stepper",
                 stepper,
-                "--busy-skip",
-                busy_skip,
                 "--contention-skip",
                 contention_skip,
                 "--active-set",
@@ -1816,23 +1796,20 @@ mod tests {
             ])
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
-            assert!(out.contains(&format!("busy-skip {busy_skip}")), "{out}");
             assert!(
                 out.contains(&format!("contention-skip {contention_skip}")),
                 "{out}"
             );
             assert!(out.contains(&format!("active-set {active_set}")), "{out}");
         }
-        let (_, _, _, _, reference_path) = matrix.last().unwrap();
+        let (_, _, _, reference_path) = matrix.last().unwrap();
         let reference = std::fs::read(reference_path).unwrap();
         assert!(!reference.is_empty());
-        for (stepper, busy_skip, contention_skip, active_set, path) in
-            &matrix[..matrix.len() - 1]
-        {
+        for (stepper, contention_skip, active_set, path) in &matrix[..matrix.len() - 1] {
             let bytes = std::fs::read(path).unwrap();
             assert_eq!(
                 bytes, reference,
-                "stepper={stepper} busy-skip={busy_skip} contention-skip={contention_skip} \
+                "stepper={stepper} contention-skip={contention_skip} \
                  active-set={active_set} trace diverges from full reference"
             );
         }
@@ -1850,18 +1827,6 @@ mod tests {
             "/tmp/x.jsonl",
             "--stepper",
             "psychic"
-        ])
-        .is_err());
-        assert!(run_line(&[
-            "trace",
-            "--scenario",
-            "uniform",
-            "--sources",
-            "2",
-            "--out",
-            "/tmp/x.jsonl",
-            "--busy-skip",
-            "maybe"
         ])
         .is_err());
         assert!(run_line(&[

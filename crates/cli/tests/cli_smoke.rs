@@ -87,14 +87,15 @@ fn metrics_pass_exits_zero_and_command_errors_exit_nonzero() {
 }
 
 // The fast-forward bisection flags must reject bad values with a non-zero
-// exit naming the flag, and accept the documented on/off forms.
+// exit naming the flag, and a flag the command does not take — even with
+// a well-formed value — must fail the same way.
 #[test]
 fn trace_skip_flags_parse_strictly_at_the_binary_level() {
-    // The bad value is rejected before the sink file is created, so the
-    // --out path never materializes.
+    // Bad input is rejected before the sink file is created, so the --out
+    // path never materializes.
     let sink = std::env::temp_dir().join("ddcr_smoke_never_written.jsonl");
     let sink = sink.to_str().unwrap();
-    for flag in ["--busy-skip", "--contention-skip"] {
+    for (flag, value) in [("--contention-skip", "maybe"), ("--busy-skip", "on")] {
         let out = ddcr(&[
             "trace",
             "--scenario",
@@ -106,9 +107,9 @@ fn trace_skip_flags_parse_strictly_at_the_binary_level() {
             "--out",
             sink,
             flag,
-            "maybe",
+            value,
         ]);
-        assert!(!out.status.success());
+        assert!(!out.status.success(), "{flag} {value}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&flag[2..]), "{flag}: {stderr}");
     }

@@ -33,7 +33,7 @@ use crate::edf::EdfQueue;
 use crate::indices::StaticAllocation;
 use crate::mts::{Interval, MtsEvent, MtsSearch, SlotOutcome};
 use ddcr_sim::{
-    Action, AttemptCycleHint, EpochStamp, Frame, HoldHint, Message, MessageId, Observation,
+    Action, AttemptCycleHint, EpochStamp, Frame, Message, MessageId, Observation,
     PhaseHint, ProtocolPhase, SearchHint, SearchSlotRecord, SourceId, Station, Ticks, WakeHint,
 };
 use serde::{Deserialize, Serialize};
@@ -93,13 +93,14 @@ impl ProtocolCounters {
     }
 }
 
-/// The opaque checkpoint an engaged replica hands the engine at the end of
-/// a contention fast-forward run (see [`Station::search_checkpoint`]).
+/// The opaque checkpoint a synced replica publishes through
+/// [`Station::resync_checkpoint`] — handed to quiet replicas at the end of
+/// a contention fast-forward run and to parked replicas on wake.
 ///
-/// Carries the engaged replica's post-run epoch coordinates plus its full
-/// counter block; a quiet replica rebuilds the shared automaton from the
-/// stamp (the proven resynchronization mechanism), replays only the final
-/// epoch's tail of slot records, and adopts the shared counter subset —
+/// Carries the replica's epoch coordinates plus its full counter block; a
+/// catching-up replica rebuilds the shared automaton from the stamp (the
+/// proven resynchronization mechanism), replays only the final epoch's
+/// tail of slot records, and adopts the shared counter subset —
 /// `O(final epoch)` work instead of `O(whole run)`.
 #[derive(Debug, Clone, Copy)]
 struct SearchCheckpoint {
@@ -752,61 +753,6 @@ impl Station for DdcrStation {
         }
     }
 
-    fn hold_hint(&self, _now: Ticks) -> HoldHint {
-        if !matches!(self.mode, Mode::Online) {
-            // A resynchronizing replica is receive-only but may rejoin on
-            // any frame it hears; keep it on the reference path.
-            return HoldHint::Contend;
-        }
-        match self.burst_reserved_for {
-            Some(holder) if holder == self.source => {
-                // The burst chain is fully determined by the queue prefix
-                // that fits the remaining budget: `poll` transmits while
-                // the head fits, and each continuation's `burst_more` flag
-                // re-arms the reservation exactly while a successor fits.
-                let mut remaining = self.burst_budget;
-                let mut frames = 0u64;
-                for msg in self.queue.iter() {
-                    if msg.bits > remaining {
-                        break;
-                    }
-                    remaining -= msg.bits;
-                    frames += 1;
-                }
-                if frames == 0 {
-                    HoldHint::Contend
-                } else {
-                    HoldHint::Hold(frames)
-                }
-            }
-            // Another source holds the channel: this replica polls Idle
-            // until the reservation lapses.
-            Some(_) => HoldHint::Quiet(u64::MAX),
-            None => HoldHint::Contend,
-        }
-    }
-
-    fn skip_busy(&mut self, from: Ticks, frames: &[Frame], _slot: Ticks) {
-        // While a foreign burst holds the channel, `observe_burst_slot`
-        // short-circuits the whole automaton: a foreign success only
-        // rewrites the reservation (`note_delivery` touches neither the
-        // queue nor the counters for frames we did not send), so the last
-        // frame's `burst_more` flag alone decides the post-run state.
-        if matches!(self.mode, Mode::Online) && self.burst_reserved_for.is_some() {
-            if let Some(last) = frames.last() {
-                self.burst_reserved_for = last.burst_more.then_some(last.message.source);
-            }
-            return;
-        }
-        // Resynchronizing (or any unforeseen) state: exact per-frame replay.
-        let mut at = from;
-        for frame in frames {
-            let next_free = at + frame.duration();
-            self.observe(at, next_free, &Observation::Busy(*frame));
-            at = next_free;
-        }
-    }
-
     fn search_hint(&self, _now: Ticks) -> SearchHint {
         if !matches!(self.mode, Mode::Online) {
             // Receive-only / fenced replicas stay on the stepped path: they
@@ -825,20 +771,9 @@ impl Station for DdcrStation {
         }
     }
 
-    fn search_checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        if !matches!(self.mode, Mode::Online) {
-            return None;
-        }
-        Some(Box::new(SearchCheckpoint {
-            stamp: self.epoch_stamp(),
-            counters: self.counters,
-        }))
-    }
-
     fn resync_checkpoint(&self) -> Option<(Ticks, Box<dyn std::any::Any + Send>)> {
-        // Same payload as the contention checkpoint: epoch coordinates plus
-        // the full counter block. Only a synced replica can vouch for the
-        // shared automaton.
+        // Epoch coordinates plus the full counter block. Only a synced
+        // replica can vouch for the shared automaton.
         if !matches!(self.mode, Mode::Online) {
             return None;
         }
@@ -1657,72 +1592,11 @@ mod tests {
     }
 
     #[test]
-    fn skip_busy_matches_replay_for_quiet_replica() {
-        let cfg = config().with_bursting(crate::config::BurstConfig::default());
-        let medium = MediumConfig::ethernet();
-        let allocation = StaticAllocation::one_per_source(cfg.static_tree, 2).unwrap();
-        let mk = |i| {
-            DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
-                .unwrap()
-        };
-        let mut holder = mk(0);
-        let mut replay = mk(1);
-        let mut skipping = mk(1);
-        for i in 0..3 {
-            holder.deliver(Message {
-                bits: 1_000,
-                ..msg(i, 0, 0, 2_000_000)
-            });
-        }
-        // Drive all replicas until the acquisition frame arms the burst
-        // reservation network-wide.
-        let mut now = Ticks::ZERO;
-        loop {
-            let action = holder.poll(now);
-            let (obs, advance) = match action {
-                Action::Transmit(f) => (Observation::Busy(f), f.duration()),
-                Action::Idle => (Observation::Silence, Ticks(512)),
-            };
-            let next_free = now + advance;
-            holder.observe(now, next_free, &obs);
-            replay.observe(now, next_free, &obs);
-            skipping.observe(now, next_free, &obs);
-            now = next_free;
-            if matches!(obs, Observation::Busy(_)) {
-                break;
-            }
-        }
-        assert_eq!(holder.hold_hint(now), HoldHint::Hold(2));
-        assert_eq!(replay.hold_hint(now), HoldHint::Quiet(u64::MAX));
-        // The holder streams its two continuations; one quiet replica
-        // observes them frame by frame, the other absorbs them in one
-        // skip_busy call — the digests must agree.
-        let from = now;
-        let mut frames = Vec::new();
-        for _ in 0..2 {
-            let Action::Transmit(f) = holder.poll(now) else {
-                panic!("holder broke its hold commitment");
-            };
-            let next_free = now + f.duration();
-            holder.observe(now, next_free, &Observation::Busy(f));
-            replay.observe(now, next_free, &Observation::Busy(f));
-            frames.push(f);
-            now = next_free;
-        }
-        skipping.skip_busy(from, &frames, Ticks(512));
-        assert_eq!(full_digest(&replay), full_digest(&skipping));
-        assert_eq!(replay.shared_state_digest(), holder.shared_state_digest());
-        assert_eq!(holder.counters().burst_continuations, 2);
-        assert_eq!(holder.hold_hint(now), HoldHint::Contend);
-    }
-
-    #[test]
     fn fast_forward_tiers_match_reference_for_bursting_network() {
-        let run = |fast: bool, busy: bool, contention: bool| {
+        let run = |fast: bool, contention: bool| {
             let cfg = config().with_bursting(crate::config::BurstConfig::default());
             let mut engine = network(4, cfg, MediumConfig::ethernet());
             engine.set_fast_forward(fast);
-            engine.set_busy_fast_forward(busy);
             engine.set_contention_fast_forward(contention);
             // Clustered small messages so acquisitions chain into bursts.
             let arrivals: Vec<Message> = (0..16)
@@ -1735,20 +1609,18 @@ mod tests {
             engine.run_to_completion(Ticks(50_000_000)).unwrap();
             engine.into_stats()
         };
-        let reference = run(false, false, false);
+        let reference = run(false, false);
         assert_eq!(reference.deliveries.len(), 16);
         for fast in [false, true] {
-            for busy in [false, true] {
-                for contention in [false, true] {
-                    if !fast && !busy && !contention {
-                        continue;
-                    }
-                    assert_eq!(
-                        run(fast, busy, contention),
-                        reference,
-                        "fast={fast} busy={busy} contention={contention}"
-                    );
+            for contention in [false, true] {
+                if !fast && !contention {
+                    continue;
                 }
+                assert_eq!(
+                    run(fast, contention),
+                    reference,
+                    "fast={fast} contention={contention}"
+                );
             }
         }
     }
@@ -1808,7 +1680,7 @@ mod tests {
                 observation: obs,
             });
             snapshots.push(quiet.clone());
-            checkpoints.push(engaged[0].search_checkpoint());
+            checkpoints.push(engaged[0].resync_checkpoint().map(|(_, cp)| cp));
             now = next_free;
         }
         assert!(engaged.iter().all(|s| s.backlog() == 0), "drain stalled");
@@ -1825,7 +1697,7 @@ mod tests {
                 skipping.skip_search(
                     records[start].at,
                     &records[start..=end],
-                    checkpoints[end].as_deref(),
+                    checkpoints[end].as_deref().map(|cp| cp as &dyn std::any::Any),
                     Ticks(512),
                 );
                 assert_eq!(
@@ -1848,10 +1720,10 @@ mod tests {
         .unwrap();
         station.crash(Ticks::ZERO);
         assert_eq!(station.search_hint(Ticks::ZERO), SearchHint::Contend);
-        assert!(station.search_checkpoint().is_none());
+        assert!(station.resync_checkpoint().is_none());
         station.restart(Ticks(512));
         assert_eq!(station.search_hint(Ticks(512)), SearchHint::Contend);
-        assert!(station.search_checkpoint().is_none());
+        assert!(station.resync_checkpoint().is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::fault::{fence_cap, FaultPlan, SlotFaults};
 use crate::membership::{MembershipChange, MembershipPlan, ABSENT};
 use crate::message::{Delivery, Frame, Message};
 use crate::metrics::{PhaseHint, ProtocolPhase, SimMetrics, XiBoundTable};
-use crate::station::{HoldHint, SearchHint, SearchSlotRecord, Station, WakeHint};
+use crate::station::{SearchHint, SearchSlotRecord, Station, WakeHint};
 use crate::stats::ChannelStats;
 use crate::time::Ticks;
 use crate::trace::{JsonlSink, Trace, TraceEvent};
@@ -102,12 +102,6 @@ enum CatchUp {
     },
     /// A fast-forwarded silence run ([`Station::skip_silence`]).
     Silence { from: Ticks, slots: u64, slot: Ticks },
-    /// A fast-forwarded busy run ([`Station::skip_busy`]).
-    Busy {
-        from: Ticks,
-        frames: Vec<Frame>,
-        slot: Ticks,
-    },
     /// A fast-forwarded contention run ([`Station::skip_search`]; parked
     /// stations take the exact per-record replay path, so no checkpoint is
     /// stored).
@@ -133,7 +127,6 @@ impl CatchUp {
         match self {
             CatchUp::Slot { at, .. } => *at,
             CatchUp::Silence { from, .. }
-            | CatchUp::Busy { from, .. }
             | CatchUp::Search { from, .. }
             | CatchUp::Cycles { from, .. } => *from,
         }
@@ -144,9 +137,6 @@ impl CatchUp {
         match self {
             CatchUp::Slot { next_free, .. } => *next_free,
             CatchUp::Silence { from, slots, slot } => *from + *slot * *slots,
-            CatchUp::Busy { from, frames, .. } => {
-                frames.iter().fold(*from, |at, f| at + f.duration())
-            }
             CatchUp::Search { from, records, .. } => {
                 records.last().map_or(*from, |r| r.next_free)
             }
@@ -257,17 +247,10 @@ pub struct Engine {
     /// Idle fast-forward (on by default). Disable to force the reference
     /// slot-by-slot stepper, e.g. for equivalence tests.
     fast_forward: bool,
-    /// Busy-period fast-forward (on by default): back-to-back committed
-    /// transmissions by a single holder are run without polling the quiet
-    /// stations each slot. Independently switchable from `fast_forward`
-    /// for bisection.
-    busy_fast_forward: bool,
-    /// Scratch buffer for the frames of one busy run, reused across runs.
-    busy_frames: Vec<Frame>,
     /// Contention (tree-search) fast-forward (on by default): contended
     /// stretches are resolved by stepping only the engaged stations while
     /// the quiet majority is caught up once per run. Independently
-    /// switchable from the other two tiers for bisection.
+    /// switchable from the other tiers for bisection.
     contention_fast_forward: bool,
     /// Scratch buffer for the slot records of one contention run.
     search_records: Vec<SearchSlotRecord>,
@@ -327,8 +310,6 @@ impl Engine {
             backlog_cache: 0,
             backlog_stale: true,
             fast_forward: true,
-            busy_fast_forward: true,
-            busy_frames: Vec::new(),
             contention_fast_forward: true,
             search_records: Vec::new(),
             search_engaged: Vec::new(),
@@ -478,24 +459,19 @@ impl Engine {
         self
     }
 
-    /// Enables or disables busy-period fast-forward (on by default),
-    /// independently of [`Engine::set_fast_forward`] so either mechanism
-    /// can be bisected on its own.
-    ///
-    /// With busy fast-forward on, a run of back-to-back committed
-    /// transmissions (a DDCR burst, a backlog drain with every contender
-    /// quiet — see [`HoldHint`]) resolves without polling the quiet
-    /// stations each slot; they are caught up once per run through
-    /// [`Station::skip_busy`]. Statistics, traces, metrics attribution and
-    /// fault fencing are bitwise identical to the reference stepper.
-    pub fn set_busy_fast_forward(&mut self, enabled: bool) -> &mut Self {
-        self.busy_fast_forward = enabled;
+    /// Does nothing. The engine no longer has a busy-period tier (bursts
+    /// are resolved by the contention tier); this no-op remains only so
+    /// that callers built against the earlier API — the end-to-end
+    /// benchmark in `benchmark/` — compile unchanged, and goes with the
+    /// next change to that benchmark.
+    #[doc(hidden)]
+    pub fn set_busy_fast_forward(&mut self, _enabled: bool) -> &mut Self {
         self
     }
 
     /// Enables or disables contention (tree-search) fast-forward (on by
-    /// default), independently of the other two tiers so every mechanism
-    /// can be bisected on its own.
+    /// default), independently of the other tiers so every mechanism can
+    /// be bisected on its own.
     ///
     /// With contention fast-forward on, a contended stretch — a DDCR tree
     /// search resolving a collision, a backlog drain interleaved with
@@ -510,8 +486,8 @@ impl Engine {
     }
 
     /// Enables or disables the active-set scheduler (on by default),
-    /// independently of the three fast-forward tiers so every mechanism
-    /// can be bisected on its own.
+    /// independently of the two fast-forward tiers so every mechanism can
+    /// be bisected on its own.
     ///
     /// With the scheduler on, stations whose [`Station::wake_hint`]
     /// promises dormancy are parked out of every per-slot loop — polls,
@@ -800,7 +776,6 @@ impl Engine {
                     }
                     None => station.skip_silence(*from, *slots, *slot),
                 },
-                CatchUp::Busy { from, frames, slot } => station.skip_busy(*from, frames, *slot),
                 CatchUp::Search {
                     from,
                     records,
@@ -993,9 +968,9 @@ impl Engine {
     }
 
     /// Advances the simulation: a fast-forwarded silence run when every
-    /// station permits it, a fast-forwarded busy run when exactly one
-    /// station holds the channel and the rest stay quiet, one reference
-    /// slot otherwise. `limit` bounds both jumps exactly where the
+    /// station permits it, a fast-forwarded contention run when engaged
+    /// and quiet stations split the network, one reference slot
+    /// otherwise. `limit` bounds every jump exactly where the
     /// slot-by-slot loop would stop stepping. `stop_on_drain` is set by
     /// [`Engine::run_to_completion`], whose loop exits as soon as the
     /// backlog drains — a jump must not outrun that check.
@@ -1015,7 +990,7 @@ impl Engine {
         // fast path's early `deliver_due` would otherwise race restart
         // processing, and a corrupted silent slot is not silent (nor is a
         // corrupted busy slot busy).
-        if (self.fast_forward || self.busy_fast_forward || self.contention_fast_forward)
+        if (self.fast_forward || self.contention_fast_forward)
             && !self.fault_transition_due()
             && !self.membership_transition_due()
         {
@@ -1035,9 +1010,6 @@ impl Engine {
                     self.fast_forward_silence(slots);
                     return;
                 }
-            }
-            if self.busy_fast_forward && self.try_busy_run(limit) {
-                return;
             }
             if self.contention_fast_forward && self.try_search_run(limit) {
                 return;
@@ -1152,128 +1124,6 @@ impl Engine {
         self.slot_ordinal += slots;
     }
 
-    /// Attempts a fast-forwarded busy run from `now`. Returns `true` when
-    /// at least one committed transmission was resolved.
-    ///
-    /// Call only after [`Engine::deliver_due`] with no fault transition
-    /// due. Gathers every live station's [`Station::hold_hint`]; the run
-    /// proceeds only when exactly one answers [`HoldHint::Hold`] and all
-    /// others answer [`HoldHint::Quiet`]. The run length is capped by
-    /// every hint, the next scheduled fault/restart ordinal (mirroring
-    /// [`Engine::skippable_slots`]' fencing), the next pending arrival,
-    /// and `limit`.
-    fn try_busy_run(&mut self, limit: Ticks) -> bool {
-        let mut holder: Option<usize> = None;
-        let mut max_frames = u64::MAX;
-        // Parked stations promise `Quiet(u64::MAX)` — exactly the answer
-        // their live state would give — so the scan covers the active set
-        // only.
-        for &idx in &self.active {
-            if self.hot.down[idx].is_some() {
-                continue;
-            }
-            let station = &self.stations[idx];
-            match station.hold_hint(self.now) {
-                HoldHint::Contend => return false,
-                HoldHint::Quiet(n) => {
-                    if n == 0 {
-                        return false;
-                    }
-                    max_frames = max_frames.min(n);
-                }
-                HoldHint::Hold(n) => {
-                    if holder.is_some() || n == 0 {
-                        return false;
-                    }
-                    holder = Some(idx);
-                    max_frames = max_frames.min(n);
-                }
-            }
-        }
-        let Some(holder) = holder else {
-            return false;
-        };
-        // Never run into a scheduled fault, membership change, or pending
-        // restart: the slot they strike must go through the reference
-        // stepper.
-        max_frames = self.membership.fence(
-            self.slot_ordinal,
-            fence_cap(&self.faults, &self.hot.down, self.slot_ordinal, max_frames),
-        );
-        if max_frames == 0 {
-            return false;
-        }
-        self.run_busy(holder, max_frames, limit)
-    }
-
-    /// The busy-run duet loop: polls and observes only the holder, slot by
-    /// slot, with full per-slot statistics / trace / metrics accounting
-    /// (each busy slot is attributed exactly as the reference stepper
-    /// would), then catches the quiet stations up once through
-    /// [`Station::skip_busy`]. Stops before any frame whose start slot has
-    /// a pending arrival due, and at `limit`, exactly where the reference
-    /// loop would stop.
-    fn run_busy(&mut self, holder: usize, max_frames: u64, limit: Ticks) -> bool {
-        let mut frames = std::mem::take(&mut self.busy_frames);
-        frames.clear();
-        let from = self.now;
-        let slot = Ticks(self.medium.slot_ticks);
-        while (frames.len() as u64) < max_frames && self.now < limit {
-            if self.pending.last().is_some_and(|m| m.arrival <= self.now) {
-                // The reference stepper would deliver this arrival before
-                // polling; stop so the next `advance` does exactly that.
-                break;
-            }
-            self.polls += 1;
-            let Action::Transmit(frame) = self.stations[holder].poll(self.now) else {
-                // A `Hold` answer is a binding commitment (see
-                // [`HoldHint`]); the default hint never holds, and every
-                // in-tree protocol honours it.
-                unreachable!("station {holder} broke its HoldHint::Hold commitment");
-            };
-            // A lone uncontested transmitter always resolves to `Busy` and
-            // holds the channel for its frame duration — the invariant
-            // that makes the run deterministic.
-            let observation = Observation::Busy(frame);
-            let next_free = self.now + frame.duration();
-            let hint = if self.metrics.is_some() {
-                self.current_phase_hint()
-            } else {
-                None
-            };
-            self.account(&observation, next_free, &SlotFaults::default());
-            if self.metrics.is_some() {
-                self.observe_metrics(hint, &observation, &SlotFaults::default());
-            }
-            self.stations[holder].observe(self.now, next_free, &observation);
-            frames.push(frame);
-            self.now = next_free;
-            self.slot_ordinal += 1;
-        }
-        let done = frames.len() as u64;
-        if done > 0 {
-            for k in 0..self.active.len() {
-                let idx = self.active[k];
-                if idx == holder || self.hot.down[idx].is_some() {
-                    continue;
-                }
-                self.stations[idx].skip_busy(from, &frames, slot);
-            }
-            if self.parked_count > 0 {
-                self.record_catchup(CatchUp::Busy {
-                    from,
-                    frames: frames.clone(),
-                    slot,
-                });
-            }
-            if let Some(metrics) = self.metrics.as_mut() {
-                metrics.on_busy_skip(done);
-            }
-        }
-        self.busy_frames = frames;
-        done > 0
-    }
-
     /// Attempts a fast-forwarded contention (tree-search) run from `now`.
     /// Returns `true` when at least one decision slot was resolved.
     ///
@@ -1284,8 +1134,8 @@ impl Engine {
     /// [`SearchHint::Quiet`] — the engaged (and contending) stations are
     /// then stepped through the reference per-slot cycle while the quiet
     /// ones are caught up once at the end. The run length is capped by the
-    /// next scheduled fault/restart ordinal (the same fencing as the other
-    /// tiers), the next pending arrival, and `limit`.
+    /// next scheduled fault/restart ordinal (the same fencing as the idle
+    /// tier), the next pending arrival, and `limit`.
     fn try_search_run(&mut self, limit: Ticks) -> bool {
         // The analytic tier first: a run of deterministic loaded idle
         // cycles resolves in one step, no chorus stepping at all.
@@ -1349,10 +1199,10 @@ impl Engine {
     /// reference stepper would — quiet stations poll [`Action::Idle`] by
     /// contract, so the resolved outcome is identical), then catches the
     /// quiet stations up once through [`Station::skip_search`], handing
-    /// them the engaged stations' synchronization checkpoint. Stops before
-    /// any slot with a pending arrival due, at `limit`, and as soon as
-    /// every engaged backlog drains (the channel is provably silent from
-    /// there on; the idle tier takes over).
+    /// them the first engaged station's [`Station::resync_checkpoint`].
+    /// Stops before any slot with a pending arrival due, at `limit`, and
+    /// as soon as every engaged backlog drains (the channel is provably
+    /// silent from there on; the idle tier takes over).
     fn run_search(&mut self, engaged: &[usize], max_slots: u64, limit: Ticks) -> bool {
         let mut records = std::mem::take(&mut self.search_records);
         records.clear();
@@ -1395,28 +1245,21 @@ impl Engine {
             if engaged.iter().all(|&idx| self.stations[idx].backlog() == 0) {
                 break;
             }
-            if self.busy_fast_forward
-                && engaged
-                    .iter()
-                    .any(|&idx| matches!(self.stations[idx].hold_hint(self.now), HoldHint::Hold(_)))
-            {
-                // An engaged station just committed to a hold (e.g. a burst
-                // acquisition): yield to the busy tier, which skips the held
-                // frames in one step instead of chorus-stepping them here.
-                break;
-            }
         }
         let done = records.len() as u64;
         if done > 0 {
             let checkpoint = engaged
                 .iter()
-                .find_map(|&idx| self.stations[idx].search_checkpoint());
+                .find_map(|&idx| self.stations[idx].resync_checkpoint());
+            let checkpoint = checkpoint
+                .as_ref()
+                .map(|(_, checkpoint)| &**checkpoint as &dyn std::any::Any);
             for k in 0..self.active.len() {
                 let idx = self.active[k];
                 if self.hot.down[idx].is_some() || engaged.contains(&idx) {
                     continue;
                 }
-                self.stations[idx].skip_search(from, &records, checkpoint.as_deref(), slot);
+                self.stations[idx].skip_search(from, &records, checkpoint, slot);
             }
             if self.parked_count > 0 {
                 self.record_catchup(CatchUp::Search {
@@ -2184,79 +2027,24 @@ mod tests {
         assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed), 64);
     }
 
-    /// A greedy transmitter that additionally implements the busy
-    /// fast-forward contract: it commits to draining its whole queue when
-    /// it holds work and promises silence otherwise.
-    struct HoldingStation {
-        inner: GreedyStation,
-        busy_skipped: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-
-    impl HoldingStation {
-        fn new() -> Self {
-            HoldingStation {
-                inner: GreedyStation::new(MediumConfig::ethernet().overhead_bits),
-                busy_skipped: std::sync::Arc::default(),
-            }
-        }
-    }
-
-    impl Station for HoldingStation {
-        fn deliver(&mut self, message: Message) {
-            self.inner.deliver(message);
-        }
-        fn poll(&mut self, now: Ticks) -> Action {
-            self.inner.poll(now)
-        }
-        fn observe(&mut self, now: Ticks, next_free: Ticks, observation: &Observation) {
-            self.inner.observe(now, next_free, observation);
-        }
-        fn backlog(&self) -> usize {
-            self.inner.backlog()
-        }
-        fn next_ready(&self, now: Ticks) -> Option<Ticks> {
-            if self.inner.queue.is_empty() {
-                None
-            } else {
-                Some(now)
-            }
-        }
-        fn hold_hint(&self, _now: Ticks) -> HoldHint {
-            if self.inner.queue.is_empty() {
-                HoldHint::Quiet(u64::MAX)
-            } else {
-                HoldHint::Hold(self.inner.queue.len() as u64)
-            }
-        }
-        fn skip_busy(&mut self, from: Ticks, frames: &[Frame], slot: Ticks) {
-            self.busy_skipped.fetch_add(frames.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            // Foreign frames never match this queue; replay only records
-            // the observations, exactly like the reference stepper.
-            let mut at = from;
-            for frame in frames {
-                let next_free = at + frame.duration();
-                self.observe(at, next_free, &Observation::Busy(*frame));
-                at = next_free;
-            }
-            let _ = slot;
-        }
-    }
-
-    /// Builds a two-station [`HoldingStation`] engine with the given
-    /// fast-forward switches and returns it plus the quiet station's
-    /// busy-skip counter.
+    /// Builds a two-station [`SearchingStation`] engine on the default
+    /// (destructive) medium with the given tier switches. The tests load
+    /// station 0 with a backlog it drains back to back — a busy run —
+    /// while station 1 stays quiet; returns the engine plus station 1's
+    /// contention-skip counter.
     fn holding_pair(
         fast: bool,
-        busy: bool,
+        contention: bool,
+        active_set: bool,
     ) -> (Engine, std::sync::Arc<std::sync::atomic::AtomicU64>) {
         let mut e = Engine::new(MediumConfig::ethernet()).unwrap();
         e.set_fast_forward(fast);
-        e.set_busy_fast_forward(busy);
+        e.set_contention_fast_forward(contention);
+        e.set_active_set(active_set);
         e.set_trace(Trace::enabled());
-        let holder = HoldingStation::new();
-        let quiet = HoldingStation::new();
-        let skipped = quiet.busy_skipped.clone();
-        e.add_station(Box::new(holder));
+        let quiet = SearchingStation::new();
+        let skipped = quiet.search_skipped.clone();
+        e.add_station(Box::new(SearchingStation::new()));
         e.add_station(Box::new(quiet));
         (e, skipped)
     }
@@ -2264,75 +2052,36 @@ mod tests {
     #[test]
     fn busy_run_matches_reference_stepper_bitwise() {
         // A five-frame drain at station 0 while station 1 stays quiet,
-        // then a later lone frame from station 1: every switch combination
+        // then a later lone frame from station 1: every tier combination
         // must produce identical stats, trace, and timing.
-        let run = |fast: bool, busy: bool| {
-            let (mut e, skipped) = holding_pair(fast, busy);
+        let run = |fast: bool, contention: bool, active_set: bool| {
+            let (mut e, skipped) = holding_pair(fast, contention, active_set);
             e.add_arrivals((0..5).map(|i| msg(i, 0, 0)))
                 .unwrap();
             e.add_arrivals([msg(9, 1, 40_000)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
             (e, skipped)
         };
-        let (reference, ref_skipped) = run(false, false);
-        assert_eq!(ref_skipped.load(std::sync::atomic::Ordering::Relaxed), 0, "reference must not busy-skip");
-        for (fast, busy) in [(true, true), (false, true), (true, false)] {
-            let (e, skipped) = run(fast, busy);
-            assert_eq!(e.now(), reference.now(), "fast={fast} busy={busy}");
-            assert_eq!(e.stats(), reference.stats(), "fast={fast} busy={busy}");
-            assert_eq!(
-                e.trace().events(),
-                reference.trace().events(),
-                "fast={fast} busy={busy}"
-            );
-            // Bisection: the quiet station is caught up in bulk exactly
-            // when busy fast-forward is on.
-            assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0, busy, "fast={fast} busy={busy}");
+        let (reference, ref_skipped) = run(false, false, false);
+        assert_eq!(ref_skipped.load(std::sync::atomic::Ordering::Relaxed), 0, "reference must not skip");
+        for fast in [false, true] {
+            for contention in [false, true] {
+                for active_set in [false, true] {
+                    if !(fast || contention || active_set) {
+                        continue;
+                    }
+                    let (e, skipped) = run(fast, contention, active_set);
+                    let tag = format!("fast={fast} contention={contention} active_set={active_set}");
+                    assert_eq!(e.now(), reference.now(), "{tag}");
+                    assert_eq!(e.stats(), reference.stats(), "{tag}");
+                    assert_eq!(e.trace().events(), reference.trace().events(), "{tag}");
+                    // Bisection: the drain is a contention run that catches
+                    // the quiet station up in bulk exactly when contention
+                    // fast-forward is on.
+                    assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0, contention, "{tag}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn busy_run_stops_for_an_arrival_landing_mid_drain() {
-        // The second batch lands while frame 2 of the drain is on the wire;
-        // the run must break at the next decision slot so the arrival is
-        // delivered exactly where the reference stepper would.
-        let run = |busy: bool| {
-            let (mut e, _) = holding_pair(true, busy);
-            e.add_arrivals((0..3).map(|i| msg(i, 0, 0))).unwrap();
-            e.add_arrivals([msg(7, 0, 1_500)]).unwrap();
-            e.run_to_completion(Ticks(1_000_000)).unwrap();
-            e
-        };
-        let fast = run(true);
-        let reference = run(false);
-        assert_eq!(fast.stats(), reference.stats());
-        assert_eq!(fast.trace().events(), reference.trace().events());
-        assert_eq!(fast.stats().deliveries.len(), 4);
-        // Frames go back to back: 4 × 1208 ticks, no silence in between.
-        assert_eq!(fast.stats().deliveries[3].completed_at, Ticks(4 * 1208));
-    }
-
-    #[test]
-    fn busy_run_refuses_to_cross_a_scheduled_fault() {
-        use crate::fault::{FaultEvent, FaultKind};
-        // An erasure strikes slot 2, mid-drain: the busy run must stop at
-        // ordinal 2 and hand the slot to the reference stepper.
-        let run = |busy: bool| {
-            let (mut e, _) = holding_pair(true, busy);
-            e.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
-                slot: 2,
-                kind: FaultKind::EraseFrame,
-            }]));
-            e.add_arrivals((0..4).map(|i| msg(i, 0, 0))).unwrap();
-            e.run_to_completion(Ticks(1_000_000)).unwrap();
-            e
-        };
-        let fast = run(true);
-        let reference = run(false);
-        assert_eq!(fast.stats(), reference.stats());
-        assert_eq!(fast.trace().events(), reference.trace().events());
-        assert_eq!(fast.stats().erased_frames, 1);
-        assert_eq!(fast.stats().deliveries.len(), 4);
     }
 
     /// Regression for the slot-path panic sweep: the Garbled accounting arm
@@ -2390,10 +2139,11 @@ mod tests {
 
     #[test]
     fn busy_run_metrics_are_fully_attributed() {
-        // Busy-skipped slots keep exact per-slot metrics attribution; the
-        // skip counters are telemetry on top, not an accounting bucket.
-        let run = |busy: bool| {
-            let (mut e, _) = holding_pair(true, busy);
+        // The slots of a drain resolved by the contention tier keep exact
+        // per-slot metrics attribution; the skip counters are telemetry on
+        // top, not an accounting bucket.
+        let run = |optimized: bool| {
+            let (mut e, _) = holding_pair(optimized, optimized, optimized);
             e.enable_metrics();
             e.add_arrivals((0..5).map(|i| msg(i, 0, 0))).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
@@ -2403,9 +2153,9 @@ mod tests {
         let reference = run(false);
         assert_eq!(fast.phase_slots, reference.phase_slots);
         assert_eq!(fast.violations_total, reference.violations_total);
-        assert_eq!(fast.busy_skipped_slots, 5);
-        assert_eq!(fast.busy_skip_runs, 1);
-        assert_eq!(reference.busy_skipped_slots, 0);
+        assert_eq!(fast.search_skipped_slots, 5);
+        assert_eq!(fast.search_skip_runs, 1);
+        assert_eq!(reference.search_skipped_slots, 0);
     }
 
     /// A greedy transmitter that additionally implements the contention
@@ -2483,7 +2233,6 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn searching_trio(
         fast: bool,
-        busy: bool,
         contention: bool,
     ) -> (
         Engine,
@@ -2494,7 +2243,6 @@ mod tests {
         cfg.collision_mode = CollisionMode::Arbitrating;
         let mut e = Engine::new(cfg).unwrap();
         e.set_fast_forward(fast);
-        e.set_busy_fast_forward(busy);
         e.set_contention_fast_forward(contention);
         e.set_trace(Trace::enabled());
         let quiet = SearchingStation::new();
@@ -2512,31 +2260,29 @@ mod tests {
         // success) while station 2 stays quiet: every switch combination
         // must produce identical stats, trace, timing, and quiet-station
         // observations.
-        let run = |fast: bool, busy: bool, contention: bool| {
-            let (mut e, skipped, log) = searching_trio(fast, busy, contention);
+        let run = |fast: bool, contention: bool| {
+            let (mut e, skipped, log) = searching_trio(fast, contention);
             e.add_arrivals([msg(0, 0, 0), msg(1, 0, 0), msg(10, 1, 0)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
             (e, skipped, log)
         };
-        let (reference, ref_skipped, ref_log) = run(false, false, false);
+        let (reference, ref_skipped, ref_log) = run(false, false);
         assert_eq!(ref_skipped.load(std::sync::atomic::Ordering::Relaxed), 0, "reference must not search-skip");
         assert_eq!(reference.stats().collisions, 2);
         for fast in [false, true] {
-            for busy in [false, true] {
-                for contention in [false, true] {
-                    if !(fast || busy || contention) {
-                        continue;
-                    }
-                    let (e, skipped, log) = run(fast, busy, contention);
-                    let tag = format!("fast={fast} busy={busy} contention={contention}");
-                    assert_eq!(e.now(), reference.now(), "{tag}");
-                    assert_eq!(e.stats(), reference.stats(), "{tag}");
-                    assert_eq!(e.trace().events(), reference.trace().events(), "{tag}");
-                    assert_eq!(*log.lock().unwrap(), *ref_log.lock().unwrap(), "{tag}");
-                    // Bisection: the quiet station is caught up in bulk
-                    // exactly when contention fast-forward is on.
-                    assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0, contention, "{tag}");
+            for contention in [false, true] {
+                if !(fast || contention) {
+                    continue;
                 }
+                let (e, skipped, log) = run(fast, contention);
+                let tag = format!("fast={fast} contention={contention}");
+                assert_eq!(e.now(), reference.now(), "{tag}");
+                assert_eq!(e.stats(), reference.stats(), "{tag}");
+                assert_eq!(e.trace().events(), reference.trace().events(), "{tag}");
+                assert_eq!(*log.lock().unwrap(), *ref_log.lock().unwrap(), "{tag}");
+                // Bisection: the quiet station is caught up in bulk
+                // exactly when contention fast-forward is on.
+                assert_eq!(skipped.load(std::sync::atomic::Ordering::Relaxed) > 0, contention, "{tag}");
             }
         }
     }
@@ -2548,7 +2294,7 @@ mod tests {
         // arrival is delivered exactly where the reference stepper would —
         // and station 2 flips from quiet to engaged for the second run.
         let run = |contention: bool| {
-            let (mut e, skipped, _) = searching_trio(true, true, contention);
+            let (mut e, skipped, _) = searching_trio(true, contention);
             e.add_arrivals((0..3).map(|i| msg(i, 0, 0))).unwrap();
             e.add_arrivals([msg(7, 2, 1_500)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();
@@ -2568,7 +2314,7 @@ mod tests {
         // An erasure strikes slot 2, mid-contention: the run must stop at
         // ordinal 2 and hand the slot to the reference stepper.
         let run = |contention: bool| {
-            let (mut e, _, _) = searching_trio(true, true, contention);
+            let (mut e, _, _) = searching_trio(true, contention);
             e.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
                 slot: 2,
                 kind: FaultKind::EraseFrame,
@@ -2590,7 +2336,7 @@ mod tests {
         // Contention-skipped slots keep exact per-slot metrics attribution;
         // the skip counters are telemetry on top, not an accounting bucket.
         let run = |contention: bool| {
-            let (mut e, _, _) = searching_trio(true, true, contention);
+            let (mut e, _, _) = searching_trio(true, contention);
             e.enable_metrics();
             e.add_arrivals([msg(0, 0, 0), msg(1, 0, 0), msg(10, 1, 0)]).unwrap();
             e.run_to_completion(Ticks(1_000_000)).unwrap();

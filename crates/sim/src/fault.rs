@@ -266,14 +266,15 @@ impl FaultPlan {
 
 /// Caps a fast-forward run so it never crosses a fault transition.
 ///
-/// Every fast-forward tier (idle silence skips, busy runs, contention
-/// search runs) shares one fencing rule: a jump of at most `cap` decision
-/// slots starting at `slot_ordinal` must stop short of the next scheduled
-/// fault event **and** of the earliest pending station restart in `down`
-/// (`Some(r)` means the station restarts at ordinal `r`), because the slot
-/// a transition strikes must go through the reference stepper. Returns the
-/// fenced cap; with an empty plan nothing can be down (crashes only
-/// originate from the plan) and `cap` passes through untouched.
+/// Every fast-forward tier (idle silence skips, contention search runs,
+/// attempt-cycle runs) shares one fencing rule: a jump of at most `cap`
+/// decision slots starting at `slot_ordinal` must stop short of the next
+/// scheduled fault event **and** of the earliest pending station restart
+/// in `down` (`Some(r)` means the station restarts at ordinal `r`),
+/// because the slot a transition strikes must go through the reference
+/// stepper. Returns the fenced cap; with an empty plan nothing can be
+/// down (crashes only originate from the plan) and `cap` passes through
+/// untouched.
 pub(crate) fn fence_cap(
     plan: &FaultPlan,
     down: &[Option<u64>],

@@ -55,7 +55,7 @@ pub use metrics::{
     LatencyHistogram, MetricsViolation, PhaseHint, PhaseSlots, ProtocolPhase, SearchKind,
     SimMetrics, StationMetrics, XiBoundTable, HISTOGRAM_BUCKETS,
 };
-pub use station::{AttemptCycleHint, HoldHint, SearchHint, SearchSlotRecord, Station, WakeHint};
+pub use station::{AttemptCycleHint, SearchHint, SearchSlotRecord, Station, WakeHint};
 pub use stats::{ChannelStats, QuantileError};
 pub use time::Ticks;
 pub use trace::{

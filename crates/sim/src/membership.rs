@@ -5,7 +5,7 @@
 //! [`MembershipPlan`] keys every change to a **decision-slot ordinal** —
 //! the count of resolved decision slots, a coordinate identical under
 //! fast-forward and reference stepping — so a plan is bitwise replayable
-//! and the engine's three fast-forward tiers can fence their jumps at the
+//! and the engine's fast-forward tiers can fence their jumps at the
 //! next scheduled change exactly as they fence at fault events.
 //!
 //! Semantics in the engine:

@@ -376,18 +376,17 @@ pub struct SimMetrics {
     violations: Vec<MetricsViolation>,
     /// Exact violation count (the retained list is capped).
     pub violations_total: u64,
-    /// Busy decision slots resolved inside busy fast-forward runs. Unlike
-    /// [`PhaseSlots::skipped`], these slots are *fully* attributed through
-    /// [`SimMetrics::on_slot`] (the holder is stepped frame by frame), so
-    /// this is pure fast-path telemetry, not an accounting bucket.
+    /// Always 0: the engine has no busy-period tier. The field remains
+    /// only so that readers built against the earlier API — the
+    /// end-to-end benchmark in `benchmark/` — compile unchanged, and goes
+    /// with the next change to that benchmark.
+    #[doc(hidden)]
     pub busy_skipped_slots: u64,
-    /// Number of busy fast-forward runs.
-    pub busy_skip_runs: u64,
-    /// Decision slots resolved inside contention fast-forward runs. Like
-    /// [`SimMetrics::busy_skipped_slots`], every one of these slots is
-    /// *fully* attributed through [`SimMetrics::on_slot`] (the engaged
-    /// stations are stepped slot by slot), so this is pure fast-path
-    /// telemetry, not an accounting bucket.
+    /// Decision slots resolved inside contention fast-forward runs. Unlike
+    /// [`PhaseSlots::skipped`], every one of these slots is *fully*
+    /// attributed through [`SimMetrics::on_slot`] (the engaged stations
+    /// are stepped slot by slot), so this is pure fast-path telemetry, not
+    /// an accounting bucket.
     pub search_skipped_slots: u64,
     /// Number of contention fast-forward runs.
     pub search_skip_runs: u64,
@@ -616,26 +615,11 @@ impl SimMetrics {
         self.phase_slots.skipped += slots;
     }
 
-    /// Notes a fast-forwarded busy run of `slots` committed transmissions.
-    ///
-    /// The mirror of [`SimMetrics::on_skip`] for the busy path, but — in
-    /// contrast to silence skips — every slot of a busy run has already
-    /// been attributed through [`SimMetrics::on_slot`] (the holder is
-    /// polled and observed frame by frame, and the quiet stations' shared
-    /// phase state is frozen for the duration of the run, so the per-slot
-    /// [`PhaseHint`]s are the reference stepper's). Observed-ξ windows are
-    /// therefore *exact* across busy skips, not merely conservative. This
-    /// method only updates the fast-path telemetry counters.
-    pub fn on_busy_skip(&mut self, slots: u64) {
-        self.busy_skipped_slots += slots;
-        self.busy_skip_runs += 1;
-    }
-
     /// Notes a fast-forwarded contention run of `slots` resolved decision
     /// slots.
     ///
-    /// Exactly like [`SimMetrics::on_busy_skip`], every slot of a
-    /// contention run has already been attributed through
+    /// In contrast to silence skips ([`SimMetrics::on_skip`]), every slot
+    /// of a contention run has already been attributed through
     /// [`SimMetrics::on_slot`] with the reference stepper's [`PhaseHint`]s
     /// (taken from an engaged synced replica, whose shared automaton every
     /// caught-up quiet replica agrees with). Observed-ξ windows are

@@ -1,32 +1,9 @@
 //! The station abstraction every MAC protocol implements.
 
 use crate::channel::{Action, Observation};
-use crate::message::{Frame, Message};
+use crate::message::Message;
 use crate::metrics::PhaseHint;
 use crate::time::Ticks;
-
-/// How a station relates to an upcoming stretch of **busy** decision
-/// slots (see [`Station::hold_hint`]).
-///
-/// The engine only fast-forwards a busy run when exactly one live station
-/// answers [`HoldHint::Hold`] and every other live station answers
-/// [`HoldHint::Quiet`]; any [`HoldHint::Contend`] vetoes the run and the
-/// slot goes through the reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HoldHint {
-    /// No promise: the station must be polled this slot (the conservative
-    /// default).
-    Contend,
-    /// The station guarantees it polls [`Action::Idle`] for the next `n`
-    /// decision slots, *even if* each of those slots carries a successful
-    /// transmission by another station. `u64::MAX` means "for as long as
-    /// nothing new is delivered to me".
-    Quiet(u64),
-    /// The station commits to transmitting exactly one frame per decision
-    /// slot for the next `n` slots, provided every one of those frames
-    /// goes out uncontested and nothing new is delivered to it meanwhile.
-    Hold(u64),
-}
 
 /// How a station relates to an upcoming stretch of **contended** decision
 /// slots — a tree-search resolution — (see [`Station::search_hint`]).
@@ -40,8 +17,8 @@ pub enum HoldHint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchHint {
     /// No promise: the station must be polled and observed every slot (the
-    /// conservative default). Unlike [`HoldHint::Contend`] this does not
-    /// veto the run — the engine simply keeps stepping the station.
+    /// conservative default). This does not veto the run — the engine
+    /// simply keeps stepping the station.
     Contend,
     /// The station guarantees it polls [`Action::Idle`] at every decision
     /// slot until something new is delivered to it, *whatever* the channel
@@ -101,14 +78,14 @@ pub enum WakeHint {
     ///   what the channel carries meanwhile;
     /// * [`Station::backlog`] is `0` and stays `0` under any sequence of
     ///   deferred observations;
-    /// * [`Station::next_ready`] is `None`, [`Station::hold_hint`] is
-    ///   `Quiet(u64::MAX)`, [`Station::search_hint`] is `Quiet`, and
+    /// * [`Station::next_ready`] is `None`, [`Station::search_hint`] is
+    ///   `Quiet`, and
     ///   [`Station::attempt_cycle_hint`] is a silent observer compatible
     ///   with whatever cycle shape the contenders agree on — so the engine
     ///   may answer tier-gating queries on the station's behalf;
     /// * the observation entry points ([`Station::observe`],
-    ///   [`Station::skip_silence`], [`Station::skip_busy`],
-    ///   [`Station::skip_search`], [`Station::skip_attempt_cycles`]) may be
+    ///   [`Station::skip_silence`], [`Station::skip_search`],
+    ///   [`Station::skip_attempt_cycles`]) may be
     ///   deferred and replayed later, in channel order with identical
     ///   arguments, leaving the station in exactly the state immediate
     ///   calls would have;
@@ -235,43 +212,6 @@ pub trait Station: Send {
         format!("station(backlog={})", self.backlog())
     }
 
-    /// Busy fast-forward hint: how this station relates to the next
-    /// stretch of busy (single-transmitter) decision slots.
-    ///
-    /// Queried by the engine after deliveries, before polling, when busy
-    /// fast-forward is enabled. The engine jumps a run of back-to-back
-    /// successful transmissions only when exactly one live station answers
-    /// [`HoldHint::Hold`] and all others answer [`HoldHint::Quiet`]; the
-    /// run length is capped by every hint, the next pending arrival, the
-    /// next scheduled fault ordinal, and the run limit. During the run the
-    /// holder is still polled and observed slot by slot (its frames carry
-    /// real payload state); the quiet stations are caught up once at the
-    /// end via [`Station::skip_busy`]. The default `Contend` never
-    /// fast-forwards and is correct for every implementation.
-    fn hold_hint(&self, _now: Ticks) -> HoldHint {
-        HoldHint::Contend
-    }
-
-    /// Absorbs a fast-forwarded run of busy decision slots: `frames` were
-    /// transmitted back to back by another station, the first slot
-    /// starting at `from`, each occupying exactly its frame duration;
-    /// `slot` is the medium's slot width in ticks.
-    ///
-    /// Called by the engine instead of per-slot [`Station::observe`] on
-    /// every quiet station when a busy run is skipped (see
-    /// [`Station::hold_hint`]). Must be behaviourally identical to
-    /// observing the corresponding [`Observation::Busy`] outcomes one by
-    /// one. The default replays them — correct for every implementation,
-    /// O(1) overrides are an optimisation.
-    fn skip_busy(&mut self, from: Ticks, frames: &[Frame], _slot: Ticks) {
-        let mut at = from;
-        for frame in frames {
-            let next_free = at + frame.duration();
-            self.observe(at, next_free, &Observation::Busy(*frame));
-            at = next_free;
-        }
-    }
-
     /// Observability hook: attributes the decision slot about to be
     /// resolved to a protocol phase (see [`PhaseHint`]).
     ///
@@ -302,25 +242,12 @@ pub trait Station: Send {
         SearchHint::Contend
     }
 
-    /// An opaque protocol-specific synchronization checkpoint published at
-    /// the end of a contention fast-forward run.
-    ///
-    /// The engine asks the engaged stations (in attachment order) for a
-    /// checkpoint and hands the first `Some` to every quiet station's
-    /// [`Station::skip_search`], which may downcast it to resynchronize in
-    /// better than O(run length). A replicated protocol should answer only
-    /// while synced — the checkpoint must describe shared state every
-    /// synced replica agrees on. The default `None` keeps quiet stations on
-    /// the exact replay path.
-    fn search_checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        None
-    }
-
     /// Absorbs a fast-forwarded run of contended decision slots: `records`
     /// lists each resolved slot in channel order, the first starting at
     /// `from`; `slot` is the medium's slot width in ticks; `checkpoint` is
-    /// the engaged stations' synchronization checkpoint, if any (see
-    /// [`Station::search_checkpoint`]).
+    /// the first engaged station's [`Station::resync_checkpoint`], if it
+    /// publishes one, which an override may downcast to resynchronize in
+    /// better than O(run length).
     ///
     /// Called by the engine instead of per-slot [`Station::observe`] on
     /// every quiet station when a contention run is skipped (see
@@ -397,14 +324,18 @@ pub trait Station: Send {
         WakeHint::Active
     }
 
-    /// Publishes an epoch-anchored resynchronization checkpoint for the
-    /// active-set scheduler: `(epoch start, opaque checkpoint)`, where the
-    /// checkpoint describes the shared replica state every synced station
-    /// agrees on, reconstructible from the epoch boundary plus the
-    /// observation sequence since it (the same soundness argument that
-    /// backs crash-restart resynchronization).
+    /// Publishes an epoch-anchored resynchronization checkpoint:
+    /// `(epoch start, opaque checkpoint)`, where the checkpoint describes
+    /// the shared replica state every synced station agrees on,
+    /// reconstructible from the epoch boundary plus the observation
+    /// sequence since it (the same soundness argument that backs
+    /// crash-restart resynchronization). A replicated protocol should
+    /// answer only while synced.
     ///
-    /// The engine captures a checkpoint from a fully caught-up station
+    /// The engine uses it twice. At the end of a contention fast-forward
+    /// run it hands the first engaged station's checkpoint to every quiet
+    /// station's [`Station::skip_search`]. And the active-set scheduler
+    /// captures a checkpoint from a fully caught-up station
     /// whenever one parks or wakes, and uses it to short-circuit later
     /// wakes: a station parked since before the epoch boundary is rebased
     /// onto the boundary through [`Station::resync_rebase`], replays only

@@ -1,14 +1,13 @@
-//! Fast-forward equivalence: the optimized engine (idle, busy-period, and
-//! contention fast-forward plus the active-set scheduler on, the defaults)
-//! and the retained reference stepper (every one of
-//! [`Engine::set_fast_forward`], [`Engine::set_busy_fast_forward`],
+//! Fast-forward equivalence: the optimized engine (idle and contention
+//! fast-forward plus the active-set scheduler on, the defaults) and the
+//! retained reference stepper (every one of [`Engine::set_fast_forward`],
 //! [`Engine::set_contention_fast_forward`], and [`Engine::set_active_set`]
 //! forced to `false`) must be bitwise indistinguishable — identical channel
 //! traces, statistics, delivery schedules, final clocks, and timeout
 //! outcomes — across every protocol, random workload, collision mode, and
-//! fault plan. The four switches are exercised across the full 2⁴ power set
-//! so a regression in any path (or any interaction between paths) bisects
-//! cleanly.
+//! fault plan. The three switches are exercised across the full 2³ power
+//! set so a regression in any path (or any interaction between paths)
+//! bisects cleanly.
 
 use ddcr_baseline::{CsmaCdStation, DcrStation, NpEdfOracle, QueueDiscipline};
 use ddcr_core::{BurstConfig, DdcrConfig, DdcrStation, StaticAllocation};
@@ -26,38 +25,28 @@ enum Proto {
     NpEdf,
 }
 
-/// (idle fast-forward, busy fast-forward, contention fast-forward,
-/// active-set scheduler) switch settings. The reference stepper is
-/// `(false, false, false, false)`; the production default is
-/// `(true, true, true, true)`; the remaining combinations isolate each
+/// (idle fast-forward, contention fast-forward, active-set scheduler)
+/// switch settings. The reference stepper is `(false, false, false)`; the
+/// production default is `(true, true, true)`; the remaining combinations isolate each
 /// optimisation and every interaction between them for bisection.
-type Steppers = (bool, bool, bool, bool);
+type Steppers = (bool, bool, bool);
 
-const REFERENCE: Steppers = (false, false, false, false);
-const OPTIMIZED: [Steppers; 15] = [
-    (true, true, true, true),
-    (true, true, true, false),
-    (true, true, false, true),
-    (true, false, true, true),
-    (false, true, true, true),
-    (true, true, false, false),
-    (true, false, true, false),
-    (false, true, true, false),
-    (true, false, false, true),
-    (false, true, false, true),
-    (false, false, true, true),
-    (true, false, false, false),
-    (false, true, false, false),
-    (false, false, true, false),
-    (false, false, false, true),
+const REFERENCE: Steppers = (false, false, false);
+const OPTIMIZED: [Steppers; 7] = [
+    (true, true, true),
+    (true, true, false),
+    (true, false, true),
+    (false, true, true),
+    (true, false, false),
+    (false, true, false),
+    (false, false, true),
 ];
 
 fn build_engine(proto: Proto, z: u32, medium: MediumConfig, steppers: Steppers) -> Engine {
     let mut engine = Engine::new(medium).unwrap();
     engine.set_fast_forward(steppers.0);
-    engine.set_busy_fast_forward(steppers.1);
-    engine.set_contention_fast_forward(steppers.2);
-    engine.set_active_set(steppers.3);
+    engine.set_contention_fast_forward(steppers.1);
+    engine.set_active_set(steppers.2);
     engine.set_trace(Trace::enabled());
     match proto {
         Proto::Ddcr { theta, bursting } => {
@@ -232,7 +221,7 @@ proptest! {
 
     /// The loaded-regime counterpart: tight inter-arrival gaps (well under
     /// one frame duration) force arrivals to land mid-transmission, so the
-    /// busy fast-forward path constantly starts, caps, and resumes runs.
+    /// fast-forward paths constantly start, cap, and resume runs.
     /// Every stepper configuration must still agree bitwise.
     #[test]
     fn loaded_regime_matches_reference(
@@ -263,8 +252,8 @@ proptest! {
         }
     }
 
-    /// Faults that strike while a busy run would be in flight: the engine
-    /// must fence every committed run at the next scheduled fault ordinal,
+    /// Faults that strike while a drain would be in flight: the engine
+    /// must fence every fast-forward run at the next scheduled fault ordinal,
     /// so corrupted slots, erased frames, and crash/restart transitions
     /// land on exactly the same decision slots as under the reference
     /// stepper.
@@ -347,15 +336,15 @@ proptest! {
         let generated = FaultPlan::generate(seed, z, 50_000, &FaultRates::default());
         prop_assert!(generated.is_empty(), "zero rates must generate no events");
 
-        let plain = run_once(proto, z, medium, &arrivals, true, (true, true, true, true));
+        let plain = run_once(proto, z, medium, &arrivals, true, (true, true, true));
         let empty_fast = run_with_plan(
-            proto, z, medium, &arrivals, true, (true, true, true, true), Some(FaultPlan::none()),
+            proto, z, medium, &arrivals, true, (true, true, true), Some(FaultPlan::none()),
         );
         let empty_reference = run_with_plan(
             proto, z, medium, &arrivals, true, REFERENCE, Some(FaultPlan::none()),
         );
         let generated_fast = run_with_plan(
-            proto, z, medium, &arrivals, true, (true, true, true, true), Some(generated),
+            proto, z, medium, &arrivals, true, (true, true, true), Some(generated),
         );
         prop_assert_eq!(&plain, &empty_fast);
         prop_assert_eq!(&plain, &empty_reference);
@@ -384,7 +373,7 @@ fn idle_heavy_32_station_network_is_bitwise_equivalent() {
             theta,
             bursting: false,
         };
-        let fast = run_once(proto, 32, medium, &arrivals, false, (true, true, true, true));
+        let fast = run_once(proto, 32, medium, &arrivals, false, (true, true, true));
         let reference = run_once(proto, 32, medium, &arrivals, false, REFERENCE);
         assert_eq!(fast, reference, "theta={theta}");
         // The run really was idle-dominated — the fast path had work to do.
@@ -394,8 +383,9 @@ fn idle_heavy_32_station_network_is_bitwise_equivalent() {
 
 /// Loaded deterministic spot check at the perf-gate shape: 32 bursting DDCR
 /// stations draining clustered small messages. Verifies both that every
-/// stepper configuration agrees bitwise *and* that the busy fast-forward
-/// path genuinely engaged (the equivalence would be vacuous otherwise).
+/// stepper configuration agrees bitwise *and* that the contention tier
+/// genuinely engaged on burst slots (the equivalence would be vacuous
+/// otherwise).
 #[test]
 fn loaded_32_station_burst_network_is_bitwise_equivalent() {
     let medium = MediumConfig::ethernet();
@@ -420,18 +410,18 @@ fn loaded_32_station_burst_network_is_bitwise_equivalent() {
         assert_eq!(fast, reference, "steppers={steppers:?}");
     }
 
-    // Busy-skip really fired: rerun the default configuration with metrics
-    // on and check the telemetry counters.
-    let mut engine = build_engine(proto, 32, medium, (true, true, true, true));
+    // The fast path really fired on a bursting run: rerun the default
+    // configuration with metrics on and check the telemetry counters.
+    let mut engine = build_engine(proto, 32, medium, (true, true, true));
     engine.enable_metrics();
     engine.add_arrivals(arrivals.iter().copied()).unwrap();
     engine.run_to_completion(Ticks(60_000_000)).unwrap();
     let metrics = engine.metrics().expect("metrics enabled");
     assert!(
-        metrics.busy_skip_runs > 0,
-        "busy fast-forward never engaged on a loaded burst workload"
+        metrics.search_skip_runs > 0,
+        "contention fast-forward never engaged on a loaded burst workload"
     );
-    assert!(metrics.busy_skipped_slots >= metrics.busy_skip_runs);
+    assert!(metrics.phase_slots.burst > 0, "the workload never burst");
 }
 
 /// Contention-heavy deterministic spot check: a few sources launch
@@ -475,7 +465,7 @@ fn contention_heavy_32_station_network_is_bitwise_equivalent() {
 
         // The contention tier really fired, and it did the bulk of the
         // contended slots: rerun the default configuration with metrics on.
-        let mut engine = build_engine(proto, 32, medium, (true, true, true, true));
+        let mut engine = build_engine(proto, 32, medium, (true, true, true));
         engine.enable_metrics();
         engine.add_arrivals(arrivals.iter().copied()).unwrap();
         engine.run_to_completion(Ticks(60_000_000)).unwrap();
@@ -533,7 +523,7 @@ fn saturated_32_station_attempt_cycles_are_bitwise_equivalent() {
     // configuration with metrics on and check that the overwhelming
     // majority of decision slots were resolved through the contention
     // tier's bulk skip rather than stepped.
-    let mut engine = build_engine(proto, 32, medium, (true, true, true, true));
+    let mut engine = build_engine(proto, 32, medium, (true, true, true));
     engine.enable_metrics();
     engine.add_arrivals(arrivals.iter().copied()).unwrap();
     engine.run_to_completion(Ticks(60_000_000)).unwrap();
@@ -592,7 +582,7 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
     };
 
     let (active, active_polls, active_replays, slots) =
-        digest(build_engine(proto, Z, medium, (true, true, true, true)));
+        digest(build_engine(proto, Z, medium, (true, true, true)));
     let (reference, reference_polls, _, _) = digest(build_engine(proto, Z, medium, REFERENCE));
 
     assert_eq!(active, reference);

@@ -44,7 +44,7 @@ fn fault_horizon(medium: &MediumConfig) -> u64 {
 
 /// A one-segment federation must reproduce the single-bus engine bit for
 /// bit — statistics, metrics, and the JSONL event stream — whatever
-/// combination of the three fast-forward switches is engaged, and with a
+/// combination of the three tier switches is engaged, and with a
 /// seeded fault plan active. This pins `run_until_drained`'s chunked
 /// composition: every epoch cut must land exactly where the reference
 /// slot loop would have stepped.
@@ -66,15 +66,15 @@ fn single_segment_matches_single_bus_across_stepper_matrix() {
         )
     };
     for fast in [false, true] {
-        for busy in [false, true] {
-            for contention in [false, true] {
-                let tag = format!("fast={fast} busy={busy} contention={contention}");
+        for contention in [false, true] {
+            for active_set in [false, true] {
+                let tag = format!("fast={fast} contention={contention} active_set={active_set}");
                 // Single-bus reference: one engine, one straight run.
                 let mut reference = network::build_engine(&set, &config, &allocation, medium)
                     .expect("reference engine");
                 reference.set_fast_forward(fast);
-                reference.set_busy_fast_forward(busy);
                 reference.set_contention_fast_forward(contention);
+                reference.set_active_set(active_set);
                 reference.enable_metrics();
                 reference.set_fault_plan(plan());
                 let buf = Arc::new(Mutex::new(Vec::new()));
@@ -97,8 +97,8 @@ fn single_segment_matches_single_bus_across_stepper_matrix() {
                 let mut engine = network::build_engine(&set, &config, &allocation, medium)
                     .expect("federated engine");
                 engine.set_fast_forward(fast);
-                engine.set_busy_fast_forward(busy);
                 engine.set_contention_fast_forward(contention);
+                engine.set_active_set(active_set);
                 let mut options = FederationOptions::new(Ticks(250_000), BUDGET);
                 options.metrics = true;
                 options.trace = true;

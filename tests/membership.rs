@@ -1,7 +1,7 @@
 //! Membership equivalence and semantics at the engine level: scheduled
 //! joins and leaves must be processed at exactly their decision-slot
-//! ordinals under every fast-forward tier — the 2⁴ switch matrix
-//! (idle × busy × contention × active-set) and both collision modes must
+//! ordinals under every fast-forward tier — the 2³ switch matrix
+//! (idle × contention × active-set) and both collision modes must
 //! be bitwise indistinguishable from the reference stepper — and the
 //! empty plan must be invisible. Membership changes mutate the active-set
 //! scheduler's wake index (every parked station wakes and replays its
@@ -14,33 +14,24 @@ use ddcr_sim::{
 };
 use proptest::prelude::*;
 
-type Steppers = (bool, bool, bool, bool);
+type Steppers = (bool, bool, bool);
 
-const REFERENCE: Steppers = (false, false, false, false);
-const OPTIMIZED: [Steppers; 15] = [
-    (true, true, true, true),
-    (true, true, true, false),
-    (true, true, false, true),
-    (true, false, true, true),
-    (false, true, true, true),
-    (true, true, false, false),
-    (true, false, true, false),
-    (false, true, true, false),
-    (true, false, false, true),
-    (false, true, false, true),
-    (false, false, true, true),
-    (true, false, false, false),
-    (false, true, false, false),
-    (false, false, true, false),
-    (false, false, false, true),
+const REFERENCE: Steppers = (false, false, false);
+const OPTIMIZED: [Steppers; 7] = [
+    (true, true, true),
+    (true, true, false),
+    (true, false, true),
+    (false, true, true),
+    (true, false, false),
+    (false, true, false),
+    (false, false, true),
 ];
 
 fn build_engine(z: u32, medium: MediumConfig, steppers: Steppers) -> Engine {
     let mut engine = Engine::new(medium).unwrap();
     engine.set_fast_forward(steppers.0);
-    engine.set_busy_fast_forward(steppers.1);
-    engine.set_contention_fast_forward(steppers.2);
-    engine.set_active_set(steppers.3);
+    engine.set_contention_fast_forward(steppers.1);
+    engine.set_active_set(steppers.2);
     engine.set_trace(Trace::enabled());
     let config = DdcrConfig::for_sources(z, Ticks(100_000)).unwrap();
     let allocation = StaticAllocation::one_per_source(config.static_tree, z).unwrap();
@@ -223,7 +214,7 @@ proptest! {
             CollisionMode::Destructive
         };
         let arrivals = make_arrivals(&raw, z, 4_000);
-        for steppers in [REFERENCE, (true, true, true, true)] {
+        for steppers in [REFERENCE, (true, true, true)] {
             let mut bare = build_engine(z, medium, steppers);
             bare.add_arrivals(arrivals.iter().copied()).unwrap();
             let _ = bare.run_to_completion(Ticks(60_000_000));
@@ -287,7 +278,7 @@ fn leave_loses_queue_and_rejoin_resynchronizes() {
     // arrival has landed while absent (slot 50 ≥ 50 × 512 ticks > 20_000),
     // with survivor traffic still to come for the resync anchor.
     let plan = MembershipPlan::leave_then_rejoin(1, 0, 50);
-    let mut engine = build_engine(z, medium, (true, true, true, true));
+    let mut engine = build_engine(z, medium, (true, true, true));
     engine.set_membership_plan(plan).unwrap();
     engine.add_arrivals(arrivals.iter().copied()).unwrap();
     engine.run_to_completion(Ticks(60_000_000)).unwrap();
@@ -346,7 +337,7 @@ fn initially_absent_station_is_fenced_until_joined() {
         },
     ];
     let plan = MembershipPlan::from_events(vec![1], Vec::new());
-    let mut engine = build_engine(z, medium, (true, true, true, true));
+    let mut engine = build_engine(z, medium, (true, true, true));
     engine.set_membership_plan(plan).unwrap();
     assert!(engine.is_absent(1));
     engine.add_arrivals(arrivals.iter().copied()).unwrap();
@@ -364,7 +355,7 @@ fn initially_absent_station_is_fenced_until_joined() {
 #[test]
 fn out_of_range_plan_is_rejected() {
     let medium = MediumConfig::ethernet();
-    let mut engine = build_engine(2, medium, (true, true, true, true));
+    let mut engine = build_engine(2, medium, (true, true, true));
     let err = engine
         .set_membership_plan(MembershipPlan::leave_then_rejoin(7, 1, 5))
         .map(|_| ())

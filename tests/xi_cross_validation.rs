@@ -50,7 +50,6 @@ fn run_leaf_set(leaves: &[u64], reference: bool) -> SimMetrics {
     let mut engine = Engine::new(medium).unwrap();
     if reference {
         engine.set_fast_forward(false);
-        engine.set_busy_fast_forward(false);
         engine.set_contention_fast_forward(false);
     }
     for i in 0..z {
