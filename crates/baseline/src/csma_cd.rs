@@ -10,7 +10,9 @@
 
 use crate::queue::{LocalQueue, QueueDiscipline};
 use ddcr_sim::rng::{derive_seed, seeded_rng};
-use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint};
+use ddcr_sim::{
+    Action, ChannelSpan, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -181,7 +183,7 @@ impl Station for CsmaCdStation {
     fn next_ready(&self, now: Ticks) -> Option<Ticks> {
         if self.queue.is_empty() {
             // Nothing to send: silence only drains backoff, which
-            // `skip_silence` accounts for in bulk.
+            // `catch_up` accounts for in bulk.
             None
         } else if self.backoff == 0 {
             Some(now)
@@ -191,9 +193,12 @@ impl Station for CsmaCdStation {
         }
     }
 
-    fn skip_silence(&mut self, _from: Ticks, slots: u64, _slot: Ticks) {
-        // A silence observation only decrements the backoff counter.
-        self.backoff = self.backoff.saturating_sub(slots);
+    fn catch_up(&mut self, span: &ChannelSpan) {
+        match *span {
+            // A silence observation only decrements the backoff counter.
+            ChannelSpan::Silence { slots, .. } => self.backoff = self.backoff.saturating_sub(slots),
+            _ => span.replay(self),
+        }
     }
 
     fn label(&self) -> String {
@@ -204,7 +209,7 @@ impl Station for CsmaCdStation {
         // With an empty queue the station can only be woken by `deliver`:
         // poll() returns Idle regardless of backoff, and every observation
         // merely decrements the backoff counter — which the batched
-        // `observe`/`skip_silence` catch-up replays exactly.
+        // `catch_up` replays exactly.
         if self.queue.is_empty() {
             WakeHint::Dormant
         } else {

@@ -12,7 +12,7 @@
 
 use crate::queue::{LocalQueue, QueueDiscipline};
 use ddcr_core::mts::{MtsEvent, MtsSearch, SlotOutcome};
-use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks};
+use ddcr_sim::{Action, ChannelSpan, Frame, Message, Observation, SourceId, Station, Ticks};
 use ddcr_tree::TreeShape;
 use serde::{Deserialize, Serialize};
 
@@ -247,9 +247,12 @@ impl Station for DcrStation {
         }
     }
 
-    fn skip_silence(&mut self, _from: Ticks, _slots: u64, _slot: Ticks) {
-        // Only reachable while Normal with an empty queue (see
-        // `next_ready`), where a silence observation changes nothing.
+    fn catch_up(&mut self, span: &ChannelSpan) {
+        // A silence run only reaches a station that is Normal with an
+        // empty queue (see `next_ready`), where it changes nothing.
+        if !matches!(span, ChannelSpan::Silence { .. }) {
+            span.replay(self);
+        }
     }
 
     fn label(&self) -> String {

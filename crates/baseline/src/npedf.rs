@@ -9,7 +9,9 @@
 //! latency any distributed MAC can achieve on the same workload, so
 //! experiment E8 uses it as the floor of the comparison.
 
-use ddcr_sim::{Action, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint};
+use ddcr_sim::{
+    Action, ChannelSpan, Frame, Message, Observation, SourceId, Station, Ticks, WakeHint,
+};
 use std::collections::VecDeque;
 
 /// The centralized NP-EDF oracle: one [`Station`] that owns every queue.
@@ -125,8 +127,11 @@ impl Station for NpEdfOracle {
         }
     }
 
-    fn skip_silence(&mut self, _from: Ticks, _slots: u64, _slot: Ticks) {
+    fn catch_up(&mut self, span: &ChannelSpan) {
         // Silence observations are a no-op (see `observe`).
+        if !matches!(span, ChannelSpan::Silence { .. }) {
+            span.replay(self);
+        }
     }
 
     fn label(&self) -> String {

@@ -33,8 +33,8 @@ use crate::edf::EdfQueue;
 use crate::indices::StaticAllocation;
 use crate::mts::{Interval, MtsEvent, MtsSearch, SlotOutcome};
 use ddcr_sim::{
-    Action, AttemptCycleHint, EpochStamp, Frame, Message, MessageId, Observation,
-    PhaseHint, ProtocolPhase, SearchHint, SearchSlotRecord, SourceId, Station, Ticks, WakeHint,
+    Action, AttemptCycleHint, ChannelSpan, EpochStamp, Frame, Message, MessageId, Observation,
+    PhaseHint, ProtocolPhase, SearchHint, SourceId, Station, SteppedSlot, Ticks, WakeHint,
 };
 use serde::{Deserialize, Serialize};
 
@@ -94,13 +94,13 @@ impl ProtocolCounters {
 }
 
 /// The opaque checkpoint a synced replica publishes through
-/// [`Station::resync_checkpoint`] — handed to quiet replicas at the end of
-/// a contention fast-forward run and to parked replicas on wake.
+/// [`Station::resync_checkpoint`], for quiet replicas at the end of a
+/// contention fast-forward run and parked replicas on wake.
 ///
 /// Carries the replica's epoch coordinates plus its full counter block; a
 /// catching-up replica rebuilds the shared automaton from the stamp (the
-/// proven resynchronization mechanism), replays only the final epoch's
-/// tail of slot records, and adopts the shared counter subset —
+/// proven resynchronization mechanism), catches up on only the channel
+/// spans since the epoch began, and adopts the shared counter subset —
 /// `O(final epoch)` work instead of `O(whole run)`.
 #[derive(Debug, Clone, Copy)]
 struct SearchCheckpoint {
@@ -152,27 +152,14 @@ enum Mode {
     /// Crashed (fenced by the engine); volatile state is gone.
     Crashed,
     /// Up after a restart, but receive-only: the replica state is stale, so
-    /// the station buffers everything it hears and waits for a frame whose
-    /// [`EpochStamp`] proves a tree-search epoch began after `since`. It
-    /// then rebuilds the shared state from the stamp and replays the
-    /// buffer (see `observe_resync`).
+    /// the station buffers every channel span it hears and waits for a
+    /// frame whose [`EpochStamp`] proves a tree-search epoch began after
+    /// `since`. It then rebuilds the shared state from the stamp and
+    /// replays the buffer (see `observe_resync`).
     Resync {
         since: Ticks,
-        buffer: Vec<BufferedSlot>,
+        buffer: Vec<ChannelSpan>,
     },
-}
-
-/// One buffered channel outcome recorded while resynchronizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BufferedSlot {
-    /// An individually observed slot.
-    Step {
-        at: Ticks,
-        next_free: Ticks,
-        observation: Observation,
-    },
-    /// A fast-forwarded silence run (`slots` silent slots from `from`).
-    SilenceRun { from: Ticks, slots: u64, slot: Ticks },
 }
 
 /// A CSMA/DDCR station: local EDF queue plus the replicated
@@ -521,19 +508,17 @@ impl DdcrStation {
             return;
         };
         let since = *since;
-        buffer.push(BufferedSlot::Step {
+        buffer.push(ChannelSpan::Slot(SteppedSlot {
             at: now,
             next_free,
             observation: *observation,
-        });
-        if let Some(stamp) = anchor {
-            if stamp.start >= since {
-                let buffer = std::mem::take(buffer);
-                self.mode = Mode::Online;
-                self.reinitialize_at_epoch(stamp);
-                self.replay_buffer(&buffer, stamp.start);
-                self.counters.rejoins += 1;
-            }
+        }));
+        if let Some(stamp) = anchor.filter(|stamp| stamp.start >= since) {
+            let buffer = std::mem::take(buffer);
+            self.mode = Mode::Online;
+            self.reinitialize_at_epoch(stamp);
+            self.replay_buffer(&buffer, stamp.start);
+            self.counters.rejoins += 1;
         }
     }
 
@@ -556,37 +541,17 @@ impl DdcrStation {
         });
     }
 
-    /// Replays the buffered observations from the epoch boundary `from`
-    /// onward against the freshly initialized automaton. Epoch boundaries
+    /// Replays the buffered spans from the epoch boundary `from` onward
+    /// against the freshly initialized automaton: each span's tail from
+    /// the boundary on (see [`ChannelSpan::tail_from`]). Epoch boundaries
     /// are slot-aligned, so a silence run straddling `from` splits cleanly
     /// at a slot boundary.
-    fn replay_buffer(&mut self, buffer: &[BufferedSlot], from: Ticks) {
-        for entry in buffer {
-            match *entry {
-                BufferedSlot::Step {
-                    at,
-                    next_free,
-                    ref observation,
-                } => {
-                    if at >= from {
-                        self.observe_online(at, next_free, observation);
-                    }
-                }
-                BufferedSlot::SilenceRun {
-                    from: run_from,
-                    slots,
-                    slot,
-                } => {
-                    if run_from + slot * slots <= from {
-                        continue;
-                    }
-                    if run_from >= from {
-                        self.skip_silence_online(run_from, slots, slot);
-                    } else {
-                        let skip = (from - run_from).as_u64() / slot.as_u64();
-                        self.skip_silence_online(run_from + slot * skip, slots - skip, slot);
-                    }
-                }
+    fn replay_buffer(&mut self, buffer: &[ChannelSpan], from: Ticks) {
+        for span in buffer {
+            if span.start() >= from {
+                self.catch_up(span);
+            } else if let Some(tail) = span.tail_from(from) {
+                self.catch_up(&tail);
             }
         }
     }
@@ -719,16 +684,59 @@ impl Station for DdcrStation {
             Phase::Sts { .. } => Some(now),
             // The idle TTs/Attempt cycle is time-free under silence: the
             // replicated automaton keeps turning, but its evolution depends
-            // only on slot *count*, which `skip_silence` replays exactly.
+            // only on slot *count*, which `absorb_silence` replays exactly.
             Phase::Tts(_) | Phase::Attempt => None,
         }
     }
 
-    fn skip_silence(&mut self, from: Ticks, slots: u64, slot: Ticks) {
-        if matches!(self.mode, Mode::Online) {
-            self.skip_silence_online(from, slots, slot);
-        } else if let Mode::Resync { buffer, .. } = &mut self.mode {
-            buffer.push(BufferedSlot::SilenceRun { from, slots, slot });
+    fn catch_up(&mut self, span: &ChannelSpan) {
+        let online = matches!(self.mode, Mode::Online);
+        match *span {
+            ChannelSpan::Silence { from, slots, slot } if online => {
+                self.absorb_silence(from, slots, slot);
+            }
+            ChannelSpan::Silence { .. } => {
+                // Nothing on the wire to anchor a rejoin: buffer the run
+                // whole (a crashed replica drops it).
+                if let Mode::Resync { buffer, .. } = &mut self.mode {
+                    buffer.push(span.clone());
+                }
+            }
+            ChannelSpan::Search { .. } if online => {
+                span.replay(self);
+                // The reference stepper polls a quiet replica every slot,
+                // and an empty-queue poll clears the frozen time index;
+                // mirror that so the post-run state is bitwise identical.
+                self.time_index = None;
+                self.time_index_for = None;
+            }
+            ChannelSpan::Cycles { cycles, probes, .. } if online => {
+                // Only reachable at a cycle start with θ = 0 (see
+                // `attempt_cycle_hint`). Each cycle is `probes` empty
+                // probes, one empty-TTs completion, one collided attempt
+                // (`reft := cycle end`), then a fresh TTs: only the
+                // counters, `reft` and the epoch coordinates move, and
+                // `start_tts` below rebuilds the final fresh TTs exactly as
+                // the last collision's observation would have.
+                self.counters.probe_empties += cycles * probes;
+                self.counters.tts_empty_runs += cycles;
+                self.counters.attempt_collisions += cycles;
+                // The last cycle's fresh TTs is counted by `start_tts`.
+                self.counters.tts_runs += cycles - 1;
+                if !self.queue.is_empty() {
+                    // This replica transmitted at every attempt slot of the
+                    // run: the engine fences arrivals out, so the queue
+                    // cannot have changed since the hint was given.
+                    self.counters.attempts += cycles;
+                }
+                let end = span.end();
+                self.reft = end;
+                self.start_tts(end);
+            }
+            // Single slots, and every span reaching a replica that is not
+            // online, go through `observe` slot by slot (which buffers or
+            // drops as the mode demands).
+            _ => span.replay(self),
         }
     }
 
@@ -810,60 +818,6 @@ impl Station for DdcrStation {
         }
     }
 
-    fn skip_search(
-        &mut self,
-        from: Ticks,
-        records: &[SearchSlotRecord],
-        checkpoint: Option<&dyn std::any::Any>,
-        _slot: Ticks,
-    ) {
-        if matches!(self.mode, Mode::Online) {
-            if let Some(cp) =
-                checkpoint.and_then(|c| c.downcast_ref::<SearchCheckpoint>())
-            {
-                if cp.stamp.start >= from {
-                    // Epoch-anchored shortcut: within one epoch the shared
-                    // state is a pure function of the epoch coordinates and
-                    // the observations since its start (the resynchronization
-                    // soundness argument, see `observe_resync`), so rebuild
-                    // at the boundary and replay only the final epoch's tail.
-                    // The shared counters span the whole run, including the
-                    // epochs skipped over, so adopt them from the engaged
-                    // replica; the private ones are untouched — this replica
-                    // was provably silent.
-                    self.reinitialize_at_epoch(cp.stamp);
-                    for record in records {
-                        if record.at >= cp.stamp.start {
-                            self.observe_online(
-                                record.at,
-                                record.next_free,
-                                &record.observation,
-                            );
-                        }
-                    }
-                    self.counters.adopt_shared(&cp.counters);
-                    return;
-                }
-            }
-            // Short run: the final epoch began before the run did, so the
-            // records cannot anchor a rebuild — exact per-record replay.
-            for record in records {
-                self.observe_online(record.at, record.next_free, &record.observation);
-            }
-            // The reference stepper polls a quiet replica every slot, and an
-            // empty-queue poll clears the frozen time index; mirror that so
-            // the post-run state is bitwise identical.
-            self.time_index = None;
-            self.time_index_for = None;
-        } else {
-            // Defensive (the engine steps non-Online replicas): buffer or
-            // drop through the regular observe path.
-            for record in records {
-                self.observe(record.at, record.next_free, &record.observation);
-            }
-        }
-    }
-
     fn attempt_cycle_hint(&self, now: Ticks, slot: Ticks) -> Option<AttemptCycleHint> {
         // Only a synced replica can promise anything about the shared
         // automaton — a resynchronizing one must buffer every slot, so its
@@ -922,29 +876,6 @@ impl Station for DdcrStation {
             cycles: 1 + extra,
             contender: Some(self.source.0),
         })
-    }
-
-    fn skip_attempt_cycles(&mut self, from: Ticks, cycles: u64, probes: u64, slot: Ticks) {
-        // Only reachable Online, at a cycle start, with θ = 0 (see
-        // `attempt_cycle_hint`). Each cycle is `probes` empty probes, one
-        // empty-TTs completion, one collided attempt (`reft := cycle
-        // end`), then a fresh TTs: only the counters, `reft` and the epoch
-        // coordinates move, and `start_tts` below rebuilds the final fresh
-        // TTs exactly as the last collision's observation would have.
-        self.counters.probe_empties += cycles * probes;
-        self.counters.tts_empty_runs += cycles;
-        self.counters.attempt_collisions += cycles;
-        // The last cycle's fresh TTs is counted by `start_tts`.
-        self.counters.tts_runs += cycles - 1;
-        if !self.queue.is_empty() {
-            // This replica transmitted at every attempt slot of the run:
-            // the engine fences arrivals out, so the queue cannot have
-            // changed since the hint was given.
-            self.counters.attempts += cycles;
-        }
-        let end = from + slot * ((probes + 1) * cycles);
-        self.reft = end;
-        self.start_tts(end);
     }
 
     fn label(&self) -> String {
@@ -1119,7 +1050,7 @@ impl DdcrStation {
         }
     }
 
-    fn skip_silence_online(&mut self, from: Ticks, slots: u64, slot: Ticks) {
+    fn absorb_silence(&mut self, from: Ticks, slots: u64, slot: Ticks) {
         // Only reachable with an empty queue and no burst reservation (see
         // `next_ready`). Under silence the idle automaton cycles: fresh
         // TTs, `m` empty probes, then — θ = 0 — one silent attempt slot,
@@ -1427,49 +1358,8 @@ mod tests {
         assert!(stations.iter().all(|s| s.backlog() == 0));
     }
 
-    /// Replays `slots` silence observations one by one (the reference
-    /// semantics `skip_silence` must match).
-    fn replay_silence(station: &mut DdcrStation, from: Ticks, slots: u64, slot: Ticks) {
-        for i in 0..slots {
-            let at = from + slot * i;
-            station.observe(at, at + slot, &Observation::Silence);
-        }
-    }
-
     fn full_digest(s: &DdcrStation) -> (String, ProtocolCounters, Ticks) {
         (s.shared_state_digest(), s.counters(), s.reft())
-    }
-
-    #[test]
-    fn skip_silence_matches_replay_exactly() {
-        let slot = Ticks(512);
-        for theta in [0u64, 2] {
-            let cfg = DdcrConfig::for_sources(4, Ticks(100_000))
-                .unwrap()
-                .with_compressed_time(theta);
-            let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
-            let fresh =
-                || DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
-            // Every (prefix, skipped) alignment across several idle cycles:
-            // the station starts mid-cycle after `prefix` replayed slots,
-            // then bulk-skips `skipped` more.
-            for prefix in 0..8u64 {
-                for skipped in 0..40u64 {
-                    let mut reference = fresh();
-                    let mut skipping = fresh();
-                    replay_silence(&mut reference, Ticks::ZERO, prefix, slot);
-                    replay_silence(&mut skipping, Ticks::ZERO, prefix, slot);
-                    let from = Ticks(slot.as_u64() * prefix);
-                    replay_silence(&mut reference, from, skipped, slot);
-                    skipping.skip_silence(from, skipped, slot);
-                    assert_eq!(
-                        full_digest(&reference),
-                        full_digest(&skipping),
-                        "theta={theta} prefix={prefix} skipped={skipped}"
-                    );
-                }
-            }
-        }
     }
 
     /// Drives one loaded idle cycle slot by slot: `m` sat-out probes, then
@@ -1552,46 +1442,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_attempt_cycles_matches_replay_exactly() {
-        let slot = Ticks(512);
-        let cfg = config();
-        let m = cfg.time_tree.branching();
-        let span = (m + 1) * slot.as_u64();
-        let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
-        // Slack for far more cycles than any replay below consumes.
-        let dm =
-            cfg.alpha.as_u64() + cfg.time_tree.leaves() * cfg.class_width.as_u64() + 40 * span;
-        for cycles in 1..=6u64 {
-            for engaged in [true, false] {
-                let fresh = || {
-                    let mut s =
-                        DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
-                    if engaged {
-                        s.deliver(msg(0, 0, 0, dm));
-                    }
-                    s
-                };
-                let mut reference = fresh();
-                let mut skipping = fresh();
-                let mut now = Ticks::ZERO;
-                for _ in 0..cycles {
-                    now = replay_loaded_cycle(&mut reference, now, slot, engaged);
-                }
-                skipping.skip_attempt_cycles(Ticks::ZERO, cycles, m, slot);
-                assert_eq!(
-                    full_digest(&reference),
-                    full_digest(&skipping),
-                    "cycles={cycles} engaged={engaged}"
-                );
-                assert_eq!(
-                    reference.counters().attempts,
-                    if engaged { cycles } else { 0 }
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fast_forward_tiers_match_reference_for_bursting_network() {
         let run = |fast: bool, contention: bool| {
             let cfg = config().with_bursting(crate::config::BurstConfig::default());
@@ -1625,18 +1475,100 @@ mod tests {
         }
     }
 
+    /// One table for every span variant: a replica caught up on a span
+    /// through `catch_up` must land bitwise on the state the reference
+    /// stepper leaves it in after the span's slots.
     #[test]
-    fn skip_search_matches_replay_exactly() {
+    fn catch_up_matches_replay_exactly() {
+        let slot = Ticks(512);
+        let check =
+            |label: &str, mut station: DdcrStation, span: &ChannelSpan, reference: &DdcrStation| {
+                station.catch_up(span);
+                assert_eq!(full_digest(&station), full_digest(reference), "{label}");
+            };
+
+        // Silence: every (prefix, run) alignment across several idle
+        // cycles, with compressed time off and on — the replica starts
+        // mid-cycle after `prefix` observed slots.
+        for theta in [0u64, 2] {
+            let cfg = DdcrConfig::for_sources(4, Ticks(100_000))
+                .unwrap()
+                .with_compressed_time(theta);
+            let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
+            let fresh = || DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
+            for prefix in 0..8u64 {
+                let mut start = fresh();
+                ChannelSpan::Silence {
+                    from: Ticks::ZERO,
+                    slots: prefix,
+                    slot,
+                }
+                .replay(&mut start);
+                for slots in 0..40u64 {
+                    let from = slot * prefix;
+                    let span = ChannelSpan::Silence { from, slots, slot };
+                    let mut reference = start.clone();
+                    span.replay(&mut reference);
+                    check(
+                        &format!("silence theta={theta} prefix={prefix} slots={slots}"),
+                        start.clone(),
+                        &span,
+                        &reference,
+                    );
+                }
+            }
+        }
+
+        // Attempt cycles: a run of loaded idle cycles, as the contender
+        // transmitting at every attempt slot and as a silent observer.
         let cfg = config();
+        let m = cfg.time_tree.branching();
+        let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
+        // Slack for far more cycles than any run below consumes.
+        let dm = cfg.alpha.as_u64()
+            + cfg.time_tree.leaves() * cfg.class_width.as_u64()
+            + 40 * (m + 1) * slot.as_u64();
+        for cycles in 1..=6u64 {
+            for engaged in [true, false] {
+                let mut start =
+                    DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
+                if engaged {
+                    start.deliver(msg(0, 0, 0, dm));
+                }
+                let mut reference = start.clone();
+                let mut now = Ticks::ZERO;
+                for _ in 0..cycles {
+                    now = replay_loaded_cycle(&mut reference, now, slot, engaged);
+                }
+                assert_eq!(
+                    reference.counters().attempts,
+                    if engaged { cycles } else { 0 }
+                );
+                let span = ChannelSpan::Cycles {
+                    from: Ticks::ZERO,
+                    cycles,
+                    probes: m,
+                    slot,
+                };
+                check(
+                    &format!("cycles={cycles} engaged={engaged}"),
+                    start,
+                    &span,
+                    &reference,
+                );
+            }
+        }
+
+        // Contention: stations 0 and 1 contend (a same-class collision
+        // forces TTs → STs → resolution, crossing several epoch
+        // boundaries) while station 2 stays quiet. Record every slot, the
+        // quiet replica's state after it, and the checkpoint an engaged
+        // replica would hand the engine there.
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
         let mk = |i| {
-            DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
-                .unwrap()
+            DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits).unwrap()
         };
-        // Stations 0 and 1 contend (same-class collision forces TTs → STs →
-        // resolution, crossing several epoch boundaries); station 2 stays
-        // quiet throughout.
         let mut engaged = [mk(0), mk(1)];
         engaged[0].deliver(msg(0, 0, 0, 500_000));
         engaged[0].deliver(msg(1, 0, 0, 900_000));
@@ -1644,10 +1576,6 @@ mod tests {
         let mut quiet = mk(2);
         assert_eq!(quiet.search_hint(Ticks::ZERO), SearchHint::Quiet);
         assert_eq!(engaged[0].search_hint(Ticks::ZERO), SearchHint::Engage);
-
-        // Drive the contention to completion slot by slot, recording every
-        // slot, the quiet replica's state after it, and the checkpoint an
-        // engaged replica would hand the engine at that point.
         let mut records = Vec::new();
         let mut snapshots = vec![quiet.clone()];
         let mut checkpoints = Vec::new();
@@ -1657,56 +1585,68 @@ mod tests {
             if engaged.iter().all(|s| s.backlog() == 0) {
                 slots_after_drain += 1;
             }
-            let frames: Vec<Frame> = engaged
-                .iter_mut()
-                .filter_map(|s| match s.poll(now) {
-                    Action::Transmit(f) => Some(f),
-                    Action::Idle => None,
-                })
-                .collect();
-            let (obs, advance) = match frames.len() {
-                0 => (Observation::Silence, Ticks(512)),
-                1 => (Observation::Busy(frames[0]), frames[0].duration()),
-                _ => (Observation::Collision { survivor: None }, Ticks(512)),
-            };
-            let next_free = now + advance;
-            for s in &mut engaged {
-                s.observe(now, next_free, &obs);
-            }
-            quiet.observe(now, next_free, &obs);
-            records.push(SearchSlotRecord {
+            let (observation, next_free) = drive_slot(&mut engaged, &[false; 2], now);
+            quiet.observe(now, next_free, &observation);
+            records.push(SteppedSlot {
                 at: now,
                 next_free,
-                observation: obs,
+                observation,
             });
             snapshots.push(quiet.clone());
-            checkpoints.push(engaged[0].resync_checkpoint().map(|(_, cp)| cp));
+            checkpoints.push(engaged[0].resync_checkpoint());
             now = next_free;
         }
         assert!(engaged.iter().all(|s| s.backlog() == 0), "drain stalled");
         assert!(records.len() >= 8, "contention resolved suspiciously fast");
-
-        // Every (start, end) window is a possible fast-forward run: a quiet
-        // replica at state `start` must land on the reference state at `end`
-        // from one skip_search call. Short windows exercise the full-replay
-        // fallback (the checkpoint's epoch began before the run); long ones
-        // exercise the epoch-anchored rebuild.
+        let mut anchored_windows = 0;
+        for (i, record) in records.iter().enumerate() {
+            check(
+                &format!("slot {i}"),
+                snapshots[i].clone(),
+                &ChannelSpan::Slot(*record),
+                &snapshots[i + 1],
+            );
+        }
+        // Every (start, end) window is a possible contention run a quiet
+        // replica sits out: caught up on it whole, or — as the engine does
+        // when the engaged replica's epoch began inside the run — rebased
+        // onto that epoch, caught up on the run's tail and adopting the
+        // shared counters.
         for start in 0..records.len() {
             for end in start..records.len() {
-                let mut skipping = snapshots[start].clone();
-                skipping.skip_search(
-                    records[start].at,
-                    &records[start..=end],
-                    checkpoints[end].as_deref().map(|cp| cp as &dyn std::any::Any),
-                    Ticks(512),
-                );
+                let span = ChannelSpan::Search {
+                    from: records[start].at,
+                    slots: records[start..=end].to_vec(),
+                };
+                let label = format!("window {start}..={end}");
+                check(&label, snapshots[start].clone(), &span, &snapshots[end + 1]);
+                let Some((epoch, checkpoint)) = &checkpoints[end] else {
+                    continue;
+                };
+                let tail = if *epoch == span.start() {
+                    Some(span.clone())
+                } else if *epoch == span.end() {
+                    Some(ChannelSpan::Search {
+                        from: *epoch,
+                        slots: Vec::new(),
+                    })
+                } else {
+                    span.tail_from(*epoch)
+                };
+                let Some(tail) = tail else { continue };
+                let mut rebased = snapshots[start].clone();
+                assert!(rebased.resync_rebase(checkpoint.as_ref()), "{label}");
+                rebased.catch_up(&tail);
+                rebased.resync_adopt(checkpoint.as_ref());
                 assert_eq!(
-                    full_digest(&skipping),
+                    full_digest(&rebased),
                     full_digest(&snapshots[end + 1]),
-                    "window {start}..={end}"
+                    "{label} rebased"
                 );
+                anchored_windows += 1;
             }
         }
+        assert!(anchored_windows > 0, "no window crossed an epoch boundary");
     }
 
     #[test]
@@ -1839,24 +1779,50 @@ mod tests {
         down[2] = false;
         assert!(!stations[2].is_synced());
 
-        // Idle slots alone carry no epoch stamp — still resyncing.
-        for _ in 0..10 {
-            now = drive_slot(&mut stations, &down, now).1;
+        // Idle slots alone carry no epoch stamp — still resyncing. They
+        // come as one fast-forwarded silence run, which replica 2 buffers
+        // whole; a fresh idle epoch begins strictly inside it.
+        let silence = ChannelSpan::Silence {
+            from: now,
+            slots: 10,
+            slot: Ticks(512),
+        };
+        for station in &mut stations {
+            station.catch_up(&silence);
         }
+        now = silence.end();
         assert!(!stations[2].is_synced());
+        let epoch = stations[0].epoch_start;
+        assert!(
+            silence.start() < epoch && epoch < silence.end(),
+            "epoch {epoch}"
+        );
 
         // Traffic from a survivor: the first frame of a fresh (post-restart)
-        // epoch anchors the rejoin.
+        // epoch anchors the rejoin. It belongs to the epoch that began
+        // inside the silence run, so the rejoin replays only the run's
+        // tail from that epoch on.
         stations[0].deliver(msg(4, 0, 0, 900_000));
         let mut synced_after = None;
         for i in 0..60 {
-            now = drive_slot(&mut stations, &down, now).1;
+            let (observation, next_free) = drive_slot(&mut stations, &down, now);
+            now = next_free;
             if stations[2].is_synced() {
+                assert!(
+                    matches!(observation, Observation::Busy(frame)
+                        if frame.epoch.map(|e| e.start) == Some(epoch)),
+                    "rejoin anchored outside the straddled epoch: {observation:?}"
+                );
                 synced_after = Some(i);
                 break;
             }
         }
         let healed = synced_after.expect("replica 2 never resynchronized");
+        // The rejoined replica agrees with the survivors at once.
+        assert_eq!(
+            stations[2].shared_state_digest(),
+            stations[0].shared_state_digest()
+        );
         assert!(healed < 60, "heal took too long: {healed} slots");
         assert_eq!(stations[2].counters().rejoins, 1);
         assert_eq!(stations[2].counters().crashes, 1);

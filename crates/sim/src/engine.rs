@@ -15,11 +15,11 @@ use crate::fault::{fence_cap, FaultPlan, SlotFaults};
 use crate::membership::{MembershipChange, MembershipPlan, ABSENT};
 use crate::message::{Delivery, Frame, Message};
 use crate::metrics::{PhaseHint, ProtocolPhase, SimMetrics, XiBoundTable};
-use crate::station::{SearchHint, SearchSlotRecord, Station, WakeHint};
+use crate::span::{ChannelSpan, SteppedSlot};
+use crate::station::{SearchHint, Station, WakeHint};
 use crate::stats::ChannelStats;
 use crate::time::Ticks;
 use crate::trace::{JsonlSink, Trace, TraceEvent};
-use std::collections::VecDeque;
 
 /// Error raised when assembling or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,67 +89,6 @@ struct StationHot {
     cursor: Vec<u64>,
 }
 
-/// One deferred channel operation in the active-set catch-up log: enough
-/// to drive the corresponding observation entry point of a parked station
-/// with exactly the arguments a live station received, in channel order.
-#[derive(Debug, Clone)]
-enum CatchUp {
-    /// One reference-stepped decision slot ([`Station::observe`]).
-    Slot {
-        at: Ticks,
-        next_free: Ticks,
-        observation: Observation,
-    },
-    /// A fast-forwarded silence run ([`Station::skip_silence`]).
-    Silence { from: Ticks, slots: u64, slot: Ticks },
-    /// A fast-forwarded contention run ([`Station::skip_search`]; parked
-    /// stations take the exact per-record replay path, so no checkpoint is
-    /// stored).
-    Search {
-        from: Ticks,
-        records: Vec<SearchSlotRecord>,
-        slot: Ticks,
-    },
-    /// An analytic attempt-cycle run ([`Station::skip_attempt_cycles`]).
-    Cycles {
-        from: Ticks,
-        cycles: u64,
-        probes: u64,
-        slot: Ticks,
-    },
-}
-
-impl CatchUp {
-    /// Channel time the deferred operation starts at. The log is
-    /// contiguous in channel time: each entry starts where the previous
-    /// one ended.
-    fn start(&self) -> Ticks {
-        match self {
-            CatchUp::Slot { at, .. } => *at,
-            CatchUp::Silence { from, .. }
-            | CatchUp::Search { from, .. }
-            | CatchUp::Cycles { from, .. } => *from,
-        }
-    }
-
-    /// Channel time the deferred operation ends at.
-    fn end(&self) -> Ticks {
-        match self {
-            CatchUp::Slot { next_free, .. } => *next_free,
-            CatchUp::Silence { from, slots, slot } => *from + *slot * *slots,
-            CatchUp::Search { from, records, .. } => {
-                records.last().map_or(*from, |r| r.next_free)
-            }
-            CatchUp::Cycles {
-                from,
-                cycles,
-                probes,
-                slot,
-            } => *from + *slot * ((*probes + 1) * *cycles),
-        }
-    }
-}
-
 /// The engine-held epoch-anchored wake shortcut: a resynchronization
 /// checkpoint captured from a fully caught-up station (see
 /// [`Station::resync_checkpoint`]), refreshed on every park and wake and
@@ -165,6 +104,46 @@ struct WakeAnchor {
     at: u64,
     /// The opaque protocol checkpoint.
     checkpoint: Box<dyn std::any::Any + Send>,
+}
+
+/// Where the contiguous `spans` are entered at the epoch boundary `epoch`:
+/// the index of the first span touched, plus that span's tail from the
+/// boundary when it falls strictly inside it (see [`ChannelSpan::tail_from`]).
+/// `None` when the epoch began before the spans or inside an uncuttable one.
+fn entry_at(spans: &[ChannelSpan], epoch: Ticks) -> Option<(usize, Option<ChannelSpan>)> {
+    let t = spans.partition_point(|s| s.start() < epoch);
+    if spans.get(t).is_some_and(|s| s.start() == epoch) {
+        return Some((t, None));
+    }
+    let prev = &spans[t.checked_sub(1)?];
+    if epoch < prev.end() {
+        return Some((t - 1, Some(prev.tail_from(epoch)?)));
+    }
+    // Past the last span: an empty tail (a gap in the log is defensive).
+    (t == spans.len()).then_some((t, None))
+}
+
+/// The epoch-anchored catch-up of parked wakes and of the quiet stations of
+/// a contention run: rebases `station` onto `checkpoint`'s epoch boundary,
+/// catches up on `spans[first..to]` entered as [`entry_at`] found, and
+/// adopts the checkpoint's shared counters, exact at `to`. Returns `false`,
+/// leaving the station untouched, when it refuses the rebase.
+fn rebase_catch_up(
+    station: &mut dyn Station,
+    checkpoint: &dyn std::any::Any,
+    spans: &[ChannelSpan],
+    (first, cut): &(usize, Option<ChannelSpan>),
+    to: usize,
+) -> bool {
+    if !station.resync_rebase(checkpoint) {
+        return false;
+    }
+    let whole = first + usize::from(cut.is_some());
+    for span in cut.iter().chain(&spans[whole..to]) {
+        station.catch_up(span);
+    }
+    station.resync_adopt(checkpoint);
+    true
 }
 
 /// The simulation engine: one broadcast medium plus its stations.
@@ -214,7 +193,7 @@ pub struct Engine {
     parked_count: usize,
     /// The shared catch-up log of deferred channel operations; one entry
     /// serves every parked station, each tracking its own replay cursor.
-    catchup: VecDeque<CatchUp>,
+    catchup: Vec<ChannelSpan>,
     /// Absolute index of `catchup`'s front entry: compaction drops
     /// replayed prefixes without renumbering cursors.
     catchup_base: u64,
@@ -252,8 +231,6 @@ pub struct Engine {
     /// the quiet majority is caught up once per run. Independently
     /// switchable from the other tiers for bisection.
     contention_fast_forward: bool,
-    /// Scratch buffer for the slot records of one contention run.
-    search_records: Vec<SearchSlotRecord>,
     /// Scratch buffer for the engaged station indices of one contention run.
     search_engaged: Vec<usize>,
     /// Scratch buffer for the contender source ids of one analytic
@@ -299,7 +276,7 @@ impl Engine {
             hot: StationHot::default(),
             active: Vec::new(),
             parked_count: 0,
-            catchup: VecDeque::new(),
+            catchup: Vec::new(),
             catchup_base: 0,
             catchup_watermark: 64,
             active_set: true,
@@ -311,7 +288,6 @@ impl Engine {
             backlog_stale: true,
             fast_forward: true,
             contention_fast_forward: true,
-            search_records: Vec::new(),
             search_engaged: Vec::new(),
             cycle_sources: Vec::new(),
             metrics: None,
@@ -477,7 +453,7 @@ impl Engine {
     /// search resolving a collision, a backlog drain interleaved with
     /// probe slots — is run by stepping only the stations engaged in it
     /// (see [`SearchHint`]); the quiet majority is caught up once per run
-    /// through [`Station::skip_search`]. Statistics, traces, metrics
+    /// through [`Station::catch_up`]. Statistics, traces, metrics
     /// attribution and fault fencing are bitwise identical to the
     /// reference stepper.
     pub fn set_contention_fast_forward(&mut self, enabled: bool) -> &mut Self {
@@ -641,11 +617,11 @@ impl Engine {
     /// Appends one deferred channel operation to the catch-up log — a
     /// no-op while nothing is parked, so the log costs nothing when the
     /// scheduler is off or every station is active.
-    fn record_catchup(&mut self, entry: CatchUp) {
+    fn record_catchup(&mut self, entry: ChannelSpan) {
         if self.parked_count == 0 {
             return;
         }
-        self.catchup.push_back(entry);
+        self.catchup.push(entry);
         if self.catchup.len() >= self.catchup_watermark {
             self.compact_catchup();
             self.catchup_watermark = (self.catchup.len() * 2).max(64);
@@ -664,141 +640,43 @@ impl Engine {
             .map(|(&cursor, _)| cursor)
             .min()
             .unwrap_or(self.catchup_base + self.catchup.len() as u64);
-        while self.catchup_base < min_cursor {
-            self.catchup.pop_front();
-            self.catchup_base += 1;
-        }
+        let dropped = (min_cursor - self.catchup_base) as usize;
+        self.catchup.drain(..dropped);
+        self.catchup_base = min_cursor;
     }
 
     /// Replays, in channel order, every deferred operation the parked
-    /// station at `idx` has not seen yet — the batched catch-up of the
-    /// active-set contract. When a wake anchor is available and valid the
-    /// station is rebased onto the checkpoint's epoch boundary instead and
-    /// replays only the log tail from it (see [`WakeAnchor`]); either way
-    /// it lands in exactly the state per-slot engagement would have left
-    /// it in.
+    /// station at `idx` has not seen yet. When the wake anchor is valid for
+    /// it — captured in this log era after the epoch boundary, which the
+    /// station parked before — only the log tail from the boundary is
+    /// replayed (see [`rebase_catch_up`]). Either way the station lands in
+    /// exactly the state per-slot engagement would have left it in.
     fn observe_skipped(&mut self, idx: usize) {
         let start = (self.hot.cursor[idx] - self.catchup_base) as usize;
-        if start < self.catchup.len() && !self.try_anchored_catchup(idx, start) {
-            self.replay_entries(idx, start, self.catchup.len(), None);
-        }
-        self.hot.cursor[idx] = self.catchup_base + self.catchup.len() as u64;
-    }
-
-    /// Attempts the epoch-anchored wake shortcut for the parked station at
-    /// `idx` whose full replay would start at log position `start`: rebase
-    /// the station onto the captured checkpoint's epoch boundary, replay
-    /// only the log tail from that boundary, and adopt the shared counters
-    /// at the capture position. Returns `false` — leaving the station
-    /// untouched — whenever any validity condition fails; the caller then
-    /// runs the exact full replay.
-    fn try_anchored_catchup(&mut self, idx: usize, start: usize) -> bool {
-        let Some(anchor) = self.anchor.as_ref() else {
-            return false;
-        };
-        if anchor.at < self.catchup_base {
-            // The checkpoint predates the current log era.
-            return false;
-        }
-        let k = (anchor.at - self.catchup_base) as usize;
-        let epoch = anchor.epoch_start;
-        // First log entry starting at or after the epoch boundary.
-        let t = self.catchup.partition_point(|e| e.start() < epoch);
-        // Locate the boundary: exactly between entries, or splittably
-        // inside entry `t - 1` (silence runs advance the idle automaton a
-        // whole slot at a time and search runs record every slot, so both
-        // can be entered mid-span; anything else falls back).
-        let (first, cut) = if t < self.catchup.len() && self.catchup[t].start() == epoch {
-            (t, None)
-        } else if t == 0 {
-            // The epoch began before the log did: coverage is unprovable.
-            return false;
-        } else {
-            let prev = &self.catchup[t - 1];
-            if epoch >= prev.end() {
-                if t == self.catchup.len() {
-                    (t, None) // boundary at the log head: empty tail
-                } else {
-                    return false; // non-contiguous log (defensive)
-                }
-            } else {
-                match prev {
-                    CatchUp::Silence { from, slot, .. }
-                        if (epoch.as_u64() - from.as_u64())
-                            .is_multiple_of(slot.as_u64()) =>
-                    {
-                        (t - 1, Some(epoch))
-                    }
-                    CatchUp::Search { .. } => (t - 1, Some(epoch)),
-                    _ => return false,
-                }
-            }
-        };
-        // The station must have parked before the boundary (everything it
-        // missed below `first` is subsumed by the rebase plus the adopted
-        // counters), and the checkpoint must postdate the boundary.
-        if start > first || k < first {
-            return false;
-        }
-        if !self.stations[idx].resync_rebase(anchor.checkpoint.as_ref()) {
-            return false;
-        }
         let len = self.catchup.len();
-        self.replay_entries(idx, first, k, cut);
-        // Adopt the shared counters exactly at the capture position, then
-        // replay whatever was logged after it.
-        let anchor = self.anchor.as_ref().expect("anchor persists across replay");
-        self.stations[idx].resync_adopt(anchor.checkpoint.as_ref());
-        self.replay_entries(idx, k, len, if k == first { cut } else { None });
-        true
-    }
-
-    /// Replays catch-up log entries `[from..to)` into station `idx`;
-    /// `cut` enters the first replayed entry mid-span at the given channel
-    /// time (only ever a silence run or a recorded search, per
-    /// [`Engine::try_anchored_catchup`]).
-    fn replay_entries(&mut self, idx: usize, from: usize, to: usize, cut: Option<Ticks>) {
-        let catchup = std::mem::take(&mut self.catchup);
-        let station = &mut self.stations[idx];
-        for (i, entry) in catchup.iter().enumerate().take(to).skip(from) {
-            self.replays += 1;
-            let cut = cut.filter(|_| i == from);
-            match entry {
-                CatchUp::Slot {
-                    at,
-                    next_free,
-                    observation,
-                } => station.observe(*at, *next_free, observation),
-                CatchUp::Silence { from, slots, slot } => match cut {
-                    Some(at) => {
-                        let skipped = (at.as_u64() - from.as_u64()) / slot.as_u64();
-                        station.skip_silence(at, *slots - skipped, *slot);
-                    }
-                    None => station.skip_silence(*from, *slots, *slot),
-                },
-                CatchUp::Search {
-                    from,
-                    records,
-                    slot,
-                } => match cut {
-                    Some(at) => {
-                        // The epoch-branch tail of `skip_search`, driven by
-                        // the engine: every record from the boundary on.
-                        for r in records.iter().filter(|r| r.at >= at) {
-                            station.observe(r.at, r.next_free, &r.observation);
-                        }
-                    }
-                    None => station.skip_search(*from, records, None, *slot),
-                },
-                CatchUp::Cycles {
-                    from,
-                    cycles,
-                    probes,
-                    slot,
-                } => station.skip_attempt_cycles(*from, *cycles, *probes, *slot),
-            }
+        self.hot.cursor[idx] = self.catchup_base + len as u64;
+        if start == len {
+            return;
         }
-        self.catchup = catchup;
+        let anchored = self.anchor.as_ref().and_then(|anchor| {
+            let k = anchor.at.checked_sub(self.catchup_base)? as usize;
+            let entry = entry_at(&self.catchup, anchor.epoch_start)?;
+            let valid = start <= entry.0 && entry.0 + usize::from(entry.1.is_some()) <= k;
+            valid.then_some((anchor.checkpoint.as_ref(), entry, k))
+        });
+        let station = self.stations[idx].as_mut();
+        let (first, resume) = match anchored {
+            Some((checkpoint, entry, k))
+                if rebase_catch_up(station, checkpoint, &self.catchup, &entry, k) =>
+            {
+                (entry.0, k)
+            }
+            _ => (start, start),
+        };
+        for span in &self.catchup[resume..] {
+            station.catch_up(span);
+        }
+        self.replays += (len - first) as u64;
     }
 
     /// Captures a fresh wake anchor from the fully caught-up station at
@@ -1093,8 +971,8 @@ impl Engine {
     }
 
     /// Accounts `slots` silent decision slots in one jump: identical stats
-    /// and trace as stepping them, with stations catching up through
-    /// [`Station::skip_silence`] instead of per-slot polls and observes.
+    /// and trace as stepping them, with stations catching up on one
+    /// [`ChannelSpan::Silence`] instead of per-slot polls and observes.
     fn fast_forward_silence(&mut self, slots: u64) {
         let slot = Ticks(self.medium.slot_ticks);
         self.stats.silence_slots += slots;
@@ -1108,18 +986,13 @@ impl Engine {
         if let Some(metrics) = self.metrics.as_mut() {
             metrics.on_skip(slots);
         }
-        for k in 0..self.active.len() {
-            let idx = self.active[k];
-            if self.hot.down[idx].is_some() {
-                continue;
-            }
-            self.stations[idx].skip_silence(self.now, slots, slot);
-        }
-        self.record_catchup(CatchUp::Silence {
+        let span = ChannelSpan::Silence {
             from: self.now,
             slots,
             slot,
-        });
+        };
+        self.catch_up_live(&span, &[]);
+        self.record_catchup(span);
         self.now += slot * slots;
         self.slot_ordinal += slots;
     }
@@ -1198,16 +1071,14 @@ impl Engine {
     /// metrics accounting (each slot is attributed exactly as the
     /// reference stepper would — quiet stations poll [`Action::Idle`] by
     /// contract, so the resolved outcome is identical), then catches the
-    /// quiet stations up once through [`Station::skip_search`], handing
-    /// them the first engaged station's [`Station::resync_checkpoint`].
+    /// quiet stations up once on the recorded [`ChannelSpan::Search`] (see
+    /// [`Engine::catch_up_live`]).
     /// Stops before any slot with a pending arrival due, at `limit`, and
     /// as soon as every engaged backlog drains (the channel is provably
     /// silent from there on; the idle tier takes over).
     fn run_search(&mut self, engaged: &[usize], max_slots: u64, limit: Ticks) -> bool {
-        let mut records = std::mem::take(&mut self.search_records);
-        records.clear();
+        let mut records = Vec::new();
         let from = self.now;
-        let slot = Ticks(self.medium.slot_ticks);
         while (records.len() as u64) < max_slots && self.now < limit {
             if self.pending.last().is_some_and(|m| m.arrival <= self.now) {
                 // The reference stepper would deliver this arrival before
@@ -1235,7 +1106,7 @@ impl Engine {
             for &idx in engaged {
                 self.stations[idx].observe(self.now, next_free, &observation);
             }
-            records.push(SearchSlotRecord {
+            records.push(SteppedSlot {
                 at: self.now,
                 next_free,
                 observation,
@@ -1247,33 +1118,45 @@ impl Engine {
             }
         }
         let done = records.len() as u64;
-        if done > 0 {
-            let checkpoint = engaged
-                .iter()
-                .find_map(|&idx| self.stations[idx].resync_checkpoint());
-            let checkpoint = checkpoint
-                .as_ref()
-                .map(|(_, checkpoint)| &**checkpoint as &dyn std::any::Any);
-            for k in 0..self.active.len() {
-                let idx = self.active[k];
-                if self.hot.down[idx].is_some() || engaged.contains(&idx) {
-                    continue;
-                }
-                self.stations[idx].skip_search(from, &records, checkpoint, slot);
+        if done == 0 {
+            return false;
+        }
+        let span = ChannelSpan::Search {
+            from,
+            slots: records,
+        };
+        self.catch_up_live(&span, engaged);
+        if let Some(metrics) = self.metrics.as_mut() {
+            metrics.on_search_skip(done);
+        }
+        self.record_catchup(span);
+        true
+    }
+
+    /// Catches every live active station outside `engaged` up on `span`:
+    /// from the epoch boundary on only (see [`rebase_catch_up`]) when the
+    /// epoch of an engaged station's resync checkpoint began within the
+    /// span, else (or if the station refuses the rebase) on the whole span.
+    fn catch_up_live(&mut self, span: &ChannelSpan, engaged: &[usize]) {
+        let spans = std::slice::from_ref(span);
+        let checkpoint = engaged
+            .iter()
+            .find_map(|&idx| self.stations[idx].resync_checkpoint());
+        let anchor = checkpoint
+            .as_ref()
+            .and_then(|(epoch, checkpoint)| Some((&**checkpoint, entry_at(spans, *epoch)?)));
+        for k in 0..self.active.len() {
+            let idx = self.active[k];
+            if self.hot.down[idx].is_some() || engaged.contains(&idx) {
+                continue;
             }
-            if self.parked_count > 0 {
-                self.record_catchup(CatchUp::Search {
-                    from,
-                    records: records.clone(),
-                    slot,
-                });
-            }
-            if let Some(metrics) = self.metrics.as_mut() {
-                metrics.on_search_skip(done);
+            let station = self.stations[idx].as_mut();
+            if !anchor.as_ref().is_some_and(|(checkpoint, entry)| {
+                rebase_catch_up(&mut *station, *checkpoint, spans, entry, 1)
+            }) {
+                station.catch_up(span);
             }
         }
-        self.search_records = records;
-        done > 0
     }
 
     /// Attempts an analytic attempt-cycle run from `now`: a stretch of
@@ -1367,7 +1250,7 @@ impl Engine {
     /// Resolves `cycles` whole loaded idle cycles in one step: identical
     /// statistics, trace events, and metrics attribution as stepping the
     /// `cycles · (probes + 1)` slots, with every live station caught up
-    /// once through [`Station::skip_attempt_cycles`].
+    /// once on a [`ChannelSpan::Cycles`].
     fn run_attempt_cycles(&mut self, probes: u64, cycles: u64, sources: &[u32]) {
         let slot = Ticks(self.medium.slot_ticks);
         let span = slot * (probes + 1);
@@ -1417,19 +1300,14 @@ impl Engine {
             }
             metrics.on_search_skip(cycles * (probes + 1));
         }
-        for k in 0..self.active.len() {
-            let idx = self.active[k];
-            if self.hot.down[idx].is_some() {
-                continue;
-            }
-            self.stations[idx].skip_attempt_cycles(from, cycles, probes, slot);
-        }
-        self.record_catchup(CatchUp::Cycles {
+        let run = ChannelSpan::Cycles {
             from,
             cycles,
             probes,
             slot,
-        });
+        };
+        self.catch_up_live(&run, &[]);
+        self.record_catchup(run);
         self.now = from + span * cycles;
         self.slot_ordinal += cycles * (probes + 1);
     }
@@ -1615,11 +1493,11 @@ impl Engine {
             self.stations[idx].observe(self.now, next_free, &observation);
         }
         self.active = active;
-        self.record_catchup(CatchUp::Slot {
+        self.record_catchup(ChannelSpan::Slot(SteppedSlot {
             at: self.now,
             next_free,
             observation,
-        });
+        }));
         if self.parked_count > 0
             && !had_transmitters
             && !matches!(observation, Observation::Silence)
@@ -1948,8 +1826,14 @@ mod tests {
                 Some(now)
             }
         }
-        fn skip_silence(&mut self, _from: Ticks, slots: u64, _slot: Ticks) {
-            self.skipped_slots.fetch_add(slots, std::sync::atomic::Ordering::Relaxed);
+        fn catch_up(&mut self, span: &ChannelSpan) {
+            match span {
+                ChannelSpan::Silence { slots, .. } => {
+                    self.skipped_slots
+                        .fetch_add(*slots, std::sync::atomic::Ordering::Relaxed);
+                }
+                _ => span.replay(self),
+            }
         }
     }
 
@@ -2018,7 +1902,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_silence_called_instead_of_per_slot_observe() {
+    fn catch_up_called_instead_of_per_slot_observe() {
         let mut e = Engine::new(MediumConfig::ethernet()).unwrap();
         let station = SleepyStation::new();
         let skipped = station.skipped_slots.clone();
@@ -2207,21 +2091,14 @@ mod tests {
                 SearchHint::Engage
             }
         }
-        fn skip_search(
-            &mut self,
-            from: Ticks,
-            records: &[SearchSlotRecord],
-            _checkpoint: Option<&dyn std::any::Any>,
-            _slot: Ticks,
-        ) {
-            self.search_skipped
-                .fetch_add(records.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            let _ = from;
+        fn catch_up(&mut self, span: &ChannelSpan) {
+            if let ChannelSpan::Search { slots, .. } = span {
+                self.search_skipped
+                    .fetch_add(slots.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            }
             // Replay through `observe` so the shared log records exactly
             // what the reference stepper would have reported.
-            for r in records {
-                self.observe(r.at, r.next_free, &r.observation);
-            }
+            span.replay(self);
         }
     }
 

@@ -41,6 +41,7 @@ mod membership;
 mod message;
 mod metrics;
 pub mod rng;
+mod span;
 mod station;
 mod stats;
 mod time;
@@ -55,7 +56,8 @@ pub use metrics::{
     LatencyHistogram, MetricsViolation, PhaseHint, PhaseSlots, ProtocolPhase, SearchKind,
     SimMetrics, StationMetrics, XiBoundTable, HISTOGRAM_BUCKETS,
 };
-pub use station::{AttemptCycleHint, SearchHint, SearchSlotRecord, Station, WakeHint};
+pub use span::{ChannelSpan, SteppedSlot};
+pub use station::{AttemptCycleHint, SearchHint, Station, WakeHint};
 pub use stats::{ChannelStats, QuantileError};
 pub use time::Ticks;
 pub use trace::{

@@ -3,6 +3,7 @@
 use crate::channel::{Action, Observation};
 use crate::message::Message;
 use crate::metrics::PhaseHint;
+use crate::span::ChannelSpan;
 use crate::time::Ticks;
 
 /// How a station relates to an upcoming stretch of **contended** decision
@@ -12,7 +13,7 @@ use crate::time::Ticks;
 /// stations ([`SearchHint::Engage`] and, conservatively,
 /// [`SearchHint::Contend`]) slot by slot while every [`SearchHint::Quiet`]
 /// station is caught up once at the end of the run through
-/// [`Station::skip_search`]. At least one `Engage` and one `Quiet` answer
+/// [`Station::catch_up`]. At least one `Engage` and one `Quiet` answer
 /// are required for a run to start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchHint {
@@ -23,7 +24,7 @@ pub enum SearchHint {
     /// The station guarantees it polls [`Action::Idle`] at every decision
     /// slot until something new is delivered to it, *whatever* the channel
     /// does meanwhile (successes, collisions, silence). It accepts being
-    /// caught up in bulk through [`Station::skip_search`].
+    /// caught up in bulk through [`Station::catch_up`].
     Quiet,
     /// The station is (or may be) actively resolving channel contention —
     /// it must be stepped slot by slot, and its participation is what makes
@@ -83,12 +84,10 @@ pub enum WakeHint {
     ///   [`Station::attempt_cycle_hint`] is a silent observer compatible
     ///   with whatever cycle shape the contenders agree on — so the engine
     ///   may answer tier-gating queries on the station's behalf;
-    /// * the observation entry points ([`Station::observe`],
-    ///   [`Station::skip_silence`], [`Station::skip_search`],
-    ///   [`Station::skip_attempt_cycles`]) may be
-    ///   deferred and replayed later, in channel order with identical
-    ///   arguments, leaving the station in exactly the state immediate
-    ///   calls would have;
+    /// * the observation entry points ([`Station::observe`] and
+    ///   [`Station::catch_up`]) may be deferred and replayed later, in
+    ///   channel order with identical arguments, leaving the station in
+    ///   exactly the state immediate calls would have;
     /// * crucially, the promise may only *stop* holding through an
     ///   observation — so any channel event that breaks it is visible to
     ///   the stations the engine kept live, which report `Active` in turn
@@ -96,18 +95,6 @@ pub enum WakeHint {
     ///   whenever the replicated state is outside the regime the promise
     ///   describes, e.g. mid tree-search or under a burst reservation).
     Dormant,
-}
-
-/// One resolved decision slot of a contention fast-forward run, recorded so
-/// quiet stations can be caught up exactly (see [`Station::skip_search`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchSlotRecord {
-    /// When the decision slot started.
-    pub at: Ticks,
-    /// When the channel became free again.
-    pub next_free: Ticks,
-    /// The channel outcome every station would have observed.
-    pub observation: Observation,
 }
 
 /// A station (message source `s_i`) attached to the broadcast medium.
@@ -162,30 +149,24 @@ pub trait Station: Send {
     ///   is [`Station::deliver`]ed to it).
     ///
     /// When the engine skips a silence run it does **not** call
-    /// [`Station::observe`] for the skipped slots; it calls
-    /// [`Station::skip_silence`] once instead, and that call must leave the
-    /// station in exactly the state the per-slot silence observations would
-    /// have. The default is `Some(now)`: fully backward compatible, never
-    /// skipped.
+    /// [`Station::observe`] for the skipped slots; it hands the station one
+    /// [`ChannelSpan::Silence`] through [`Station::catch_up`] instead. The
+    /// default is `Some(now)`: fully backward compatible, never skipped.
     fn next_ready(&self, now: Ticks) -> Option<Ticks> {
         Some(now)
     }
 
-    /// Absorbs a fast-forwarded run of `slots` silent decision slots, the
-    /// first starting at `from`, each `slot` ticks wide.
+    /// Absorbs a stretch of channel outcomes at once: a fast-forwarded
+    /// silence run (see [`Station::next_ready`]), a contention run the
+    /// station sat out quietly (see [`Station::search_hint`]), a run of
+    /// loaded idle cycles (see [`Station::attempt_cycle_hint`]), or, on
+    /// wake from dormancy, each deferred operation of the catch-up log.
     ///
-    /// Called by the engine instead of per-slot [`Station::observe`] when a
-    /// silence run is skipped (see [`Station::next_ready`]). Must be
-    /// behaviourally identical to observing `slots` consecutive
-    /// [`Observation::Silence`] outcomes; in particular it must not change
-    /// the station's [`Station::backlog`]. The default replays the silence
-    /// observations one by one — correct for every implementation, O(1)
-    /// overrides are an optimisation.
-    fn skip_silence(&mut self, from: Ticks, slots: u64, slot: Ticks) {
-        for i in 0..slots {
-            let at = from + slot * i;
-            self.observe(at, at + slot, &Observation::Silence);
-        }
+    /// Must leave the station exactly as [`ChannelSpan::replay`] — one
+    /// [`Station::observe`] per slot, in channel order — would. That replay
+    /// is the default; O(1) overrides are an optimisation.
+    fn catch_up(&mut self, span: &ChannelSpan) {
+        span.replay(self);
     }
 
     /// An injected omission failure: the station loses power at `now`.
@@ -234,38 +215,12 @@ pub trait Station: Send {
     /// [`SearchHint::Quiet`]; engaged (and contending) stations are then
     /// polled and observed slot by slot exactly as the reference stepper
     /// would, while the quiet stations are caught up once at the end via
-    /// [`Station::skip_search`]. The run stops before any pending arrival,
+    /// [`Station::catch_up`]. The run stops before any pending arrival,
     /// at the next scheduled fault ordinal or restart, at the run limit,
     /// and as soon as every engaged station's backlog drains. The default
     /// `Contend` is correct for every implementation.
     fn search_hint(&self, _now: Ticks) -> SearchHint {
         SearchHint::Contend
-    }
-
-    /// Absorbs a fast-forwarded run of contended decision slots: `records`
-    /// lists each resolved slot in channel order, the first starting at
-    /// `from`; `slot` is the medium's slot width in ticks; `checkpoint` is
-    /// the first engaged station's [`Station::resync_checkpoint`], if it
-    /// publishes one, which an override may downcast to resynchronize in
-    /// better than O(run length).
-    ///
-    /// Called by the engine instead of per-slot [`Station::observe`] on
-    /// every quiet station when a contention run is skipped (see
-    /// [`Station::search_hint`]). Must be behaviourally identical to
-    /// observing the recorded outcomes one by one. The default replays
-    /// them — correct for every implementation; checkpoint-based overrides
-    /// are an optimisation.
-    fn skip_search(
-        &mut self,
-        from: Ticks,
-        records: &[SearchSlotRecord],
-        _checkpoint: Option<&dyn std::any::Any>,
-        _slot: Ticks,
-    ) {
-        let _ = from;
-        for record in records {
-            self.observe(record.at, record.next_free, &record.observation);
-        }
     }
 
     /// Analytic contention fast-forward hint: whether the next stretch of
@@ -280,34 +235,13 @@ pub trait Station: Send {
     /// contenders; the run covers the minimum promised cycle count, cut
     /// at whole-cycle boundaries by the next pending arrival, the fault
     /// fence, and the run limit. Stations are then caught up once through
-    /// [`Station::skip_attempt_cycles`] instead of `probes + 1` polls and
-    /// observes per cycle. The default `None` (for protocols without this
-    /// cycle structure) refuses bulk runs and is always correct.
+    /// [`Station::catch_up`] with a [`ChannelSpan::Cycles`] — only ever
+    /// stations whose hint (or dormancy promise) covered the run — instead
+    /// of `probes + 1` polls and observes per cycle. The default `None`
+    /// (for protocols without this cycle structure) refuses bulk runs and
+    /// is always correct.
     fn attempt_cycle_hint(&self, _now: Ticks, _slot: Ticks) -> Option<AttemptCycleHint> {
         None
-    }
-
-    /// Absorbs a bulk run of `cycles` loaded idle cycles starting at
-    /// `from`, each `probes` silent probe slots followed by one
-    /// destructively collided attempt slot of width `slot`.
-    ///
-    /// Called on every live station after a run promised through
-    /// [`Station::attempt_cycle_hint`] (and replayed from the active-set
-    /// catch-up log on wake); must leave the station bitwise identical to
-    /// observing those `cycles · (probes + 1)` outcomes one by one. Only
-    /// ever invoked on stations whose hint (or dormancy promise) covered
-    /// the run; the default replays the outcomes — correct for every
-    /// implementation, O(1) overrides are an optimisation.
-    fn skip_attempt_cycles(&mut self, from: Ticks, cycles: u64, probes: u64, slot: Ticks) {
-        let mut at = from;
-        for _ in 0..cycles {
-            for _ in 0..probes {
-                self.observe(at, at + slot, &Observation::Silence);
-                at += slot;
-            }
-            self.observe(at, at + slot, &Observation::Collision { survivor: None });
-            at += slot;
-        }
     }
 
     /// Active-set scheduler hint: whether this station can be parked out
@@ -332,30 +266,31 @@ pub trait Station: Send {
     /// crash-restart resynchronization). A replicated protocol should
     /// answer only while synced.
     ///
-    /// The engine uses it twice. At the end of a contention fast-forward
-    /// run it hands the first engaged station's checkpoint to every quiet
-    /// station's [`Station::skip_search`]. And the active-set scheduler
-    /// captures a checkpoint from a fully caught-up station
-    /// whenever one parks or wakes, and uses it to short-circuit later
-    /// wakes: a station parked since before the epoch boundary is rebased
-    /// onto the boundary through [`Station::resync_rebase`], replays only
-    /// the catch-up tail from the boundary on, and adopts the shared
-    /// counters through [`Station::resync_adopt`] — `O(final epoch)` work
-    /// instead of `O(dormant span)`. The default `None` keeps every wake on
-    /// the exact full-replay path.
+    /// The engine uses it to catch a station up across an epoch boundary
+    /// in `O(final epoch)` instead of `O(span)` work: the station is
+    /// rebased onto the boundary through [`Station::resync_rebase`],
+    /// replays only the channel spans from the boundary on through
+    /// [`Station::catch_up`], and adopts the shared counters through
+    /// [`Station::resync_adopt`]. Two kinds of station take that path: the
+    /// quiet stations at the end of a contention fast-forward run, with the
+    /// first engaged station's checkpoint; and parked stations on wake,
+    /// with a checkpoint the active-set scheduler captures from a fully
+    /// caught-up station whenever one parks or wakes. The default `None`
+    /// keeps every catch-up on the exact full-replay path.
     fn resync_checkpoint(&self) -> Option<(Ticks, Box<dyn std::any::Any + Send>)> {
         None
     }
 
-    /// Rebases this (provably silent, parked) station onto the epoch
-    /// boundary described by `checkpoint`, discarding its stale shared
-    /// automaton view. Returns `true` when the checkpoint was understood
-    /// and the rebase happened; `false` falls back to full replay.
+    /// Rebases this provably silent station (parked, or quiet through a
+    /// contention run) onto the epoch boundary described by `checkpoint`,
+    /// discarding its stale shared automaton view. Returns `true` when the
+    /// checkpoint was understood and the rebase happened; `false` falls
+    /// back to full replay.
     ///
-    /// After a successful rebase the engine replays the catch-up tail from
-    /// the epoch boundary on through the regular observation entry points,
-    /// then calls [`Station::resync_adopt`] with the same checkpoint at the
-    /// log position it was captured at. The default refuses.
+    /// After a successful rebase the engine replays the spans from the
+    /// epoch boundary on through [`Station::catch_up`], then calls
+    /// [`Station::resync_adopt`] with the same checkpoint at the channel
+    /// position it was captured at. The default refuses.
     fn resync_rebase(&mut self, _checkpoint: &dyn std::any::Any) -> bool {
         false
     }

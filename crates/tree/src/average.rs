@@ -34,7 +34,7 @@ impl ExpectedSearchTable {
     /// # Errors
     ///
     /// Returns [`TreeError::Overflow`] for trees too large to tabulate
-    /// (same cap as [`SearchTimeTable`]).
+    /// (same cap as [`SearchTimeTable`](crate::exact::SearchTimeTable)).
     pub fn compute(shape: TreeShape) -> Result<Self, TreeError> {
         // Reuse the exact table's size guard (via the process-wide cache:
         // the worst-case table for this shape is almost always wanted too).
