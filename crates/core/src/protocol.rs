@@ -1475,21 +1475,25 @@ mod tests {
         }
     }
 
-    /// One table for every span variant: a replica caught up on a span
-    /// through `catch_up` must land bitwise on the state the reference
-    /// stepper leaves it in after the span's slots.
-    #[test]
-    fn catch_up_matches_replay_exactly() {
-        let slot = Ticks(512);
-        let check =
-            |label: &str, mut station: DdcrStation, span: &ChannelSpan, reference: &DdcrStation| {
-                station.catch_up(span);
-                assert_eq!(full_digest(&station), full_digest(reference), "{label}");
-            };
+    /// A replica caught up on a span through `catch_up` must land
+    /// bitwise on the state the reference stepper leaves it in after the
+    /// span's slots.
+    fn check_catch_up(
+        label: &str,
+        mut station: DdcrStation,
+        span: &ChannelSpan,
+        reference: &DdcrStation,
+    ) {
+        station.catch_up(span);
+        assert_eq!(full_digest(&station), full_digest(reference), "{label}");
+    }
 
-        // Silence: every (prefix, run) alignment across several idle
-        // cycles, with compressed time off and on — the replica starts
-        // mid-cycle after `prefix` observed slots.
+    /// `catch_up` on a silence span: every (prefix, run) alignment across
+    /// several idle cycles, with compressed time off and on — the replica
+    /// starts mid-cycle after `prefix` observed slots.
+    #[test]
+    fn skip_silence_matches_replay_exactly() {
+        let slot = Ticks(512);
         for theta in [0u64, 2] {
             let cfg = DdcrConfig::for_sources(4, Ticks(100_000))
                 .unwrap()
@@ -1509,7 +1513,7 @@ mod tests {
                     let span = ChannelSpan::Silence { from, slots, slot };
                     let mut reference = start.clone();
                     span.replay(&mut reference);
-                    check(
+                    check_catch_up(
                         &format!("silence theta={theta} prefix={prefix} slots={slots}"),
                         start.clone(),
                         &span,
@@ -1519,8 +1523,14 @@ mod tests {
             }
         }
 
-        // Attempt cycles: a run of loaded idle cycles, as the contender
-        // transmitting at every attempt slot and as a silent observer.
+    }
+
+    /// `catch_up` on a cycle span: a run of loaded idle cycles, as the
+    /// contender transmitting at every attempt slot and as a silent
+    /// observer.
+    #[test]
+    fn skip_attempt_cycles_matches_replay_exactly() {
+        let slot = Ticks(512);
         let cfg = config();
         let m = cfg.time_tree.branching();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
@@ -1550,7 +1560,7 @@ mod tests {
                     probes: m,
                     slot,
                 };
-                check(
+                check_catch_up(
                     &format!("cycles={cycles} engaged={engaged}"),
                     start,
                     &span,
@@ -1559,11 +1569,16 @@ mod tests {
             }
         }
 
-        // Contention: stations 0 and 1 contend (a same-class collision
-        // forces TTs → STs → resolution, crossing several epoch
-        // boundaries) while station 2 stays quiet. Record every slot, the
-        // quiet replica's state after it, and the checkpoint an engaged
-        // replica would hand the engine there.
+    }
+
+    /// `catch_up` on stepped slots and contention spans: stations 0 and 1
+    /// contend (a same-class collision forces TTs → STs → resolution,
+    /// crossing several epoch boundaries) while station 2 stays quiet.
+    #[test]
+    fn skip_search_matches_replay_exactly() {
+        let cfg = config();
+        // Record every slot, the quiet replica's state after it, and the
+        // checkpoint an engaged replica would hand the engine there.
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
         let mk = |i| {
@@ -1600,7 +1615,7 @@ mod tests {
         assert!(records.len() >= 8, "contention resolved suspiciously fast");
         let mut anchored_windows = 0;
         for (i, record) in records.iter().enumerate() {
-            check(
+            check_catch_up(
                 &format!("slot {i}"),
                 snapshots[i].clone(),
                 &ChannelSpan::Slot(*record),
@@ -1619,7 +1634,7 @@ mod tests {
                     slots: records[start..=end].to_vec(),
                 };
                 let label = format!("window {start}..={end}");
-                check(&label, snapshots[start].clone(), &span, &snapshots[end + 1]);
+                check_catch_up(&label, snapshots[start].clone(), &span, &snapshots[end + 1]);
                 let Some((epoch, checkpoint)) = &checkpoints[end] else {
                     continue;
                 };
