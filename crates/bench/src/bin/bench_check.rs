@@ -10,8 +10,10 @@
 //! speedup below the 2x floor, loaded speedup below the 5x floor at load
 //! 0.5 or 0.8 on >= 32 stations, a contention fast-forward section that
 //! diverged or whose tier never engaged, a station-scale section that
-//! diverged, failed to complete, or scaled below the 5x floor at >= 2048
-//! stations, divergent fast/reference
+//! diverged, failed to complete, scaled below the 5x floor at >= 2048
+//! stations, or lacks its crash-faulted point, an assembly section whose
+//! per-station build-plus-drop cost at 2048 stations exceeds 3x the cost
+//! at 256, divergent fast/reference
 //! statistics, incomplete drains, a multichannel section that diverged
 //! across worker counts, missed deadlines, lost its pinned capacity win,
 //! or — on hosts with >= 4 cores — scaled below the 2x floor, and a
@@ -85,6 +87,16 @@ fn main() {
                     e.get("speedup").and_then(Json::as_f64).unwrap_or(f64::NAN),
                 )
             });
+        // Per-station assembly cost, largest over smallest population.
+        let assembly_growth = doc
+            .get("assembly")
+            .and_then(Json::as_array)
+            .and_then(|entries| {
+                let per_station =
+                    |e: &Json| Some(e.get("wall_ns")?.as_f64()? / e.get("stations")?.as_f64()?);
+                Some(per_station(entries.last()?)? / per_station(entries.first()?)?)
+            })
+            .unwrap_or(f64::NAN);
         let multichannel = doc.get("multichannel");
         let multichannel_speedup = multichannel
             .and_then(|m| m.get("speedup"))
@@ -108,6 +120,7 @@ fn main() {
              loaded fast-forward {loaded_speedup:.1}x @0.5 / {high_load_speedup:.1}x @0.8, \
              contention tier {contention_speedup:.1}x, \
              active set {scale_speedup:.1}x at {scale_stations:.0} stations, \
+             assembly growth {assembly_growth:.2}x per station, \
              multichannel {multichannel_speedup:.1}x on {host:.0} cores, \
              federation {federation_speedup:.1}x with {handoffs:.0} handoffs)"
         );

@@ -59,6 +59,14 @@ fn main() {
             drain.completed,
         );
     }
+    for assembly in &report.assembly {
+        eprintln!(
+            "bench_engine: assembly z={}: {:.2} ms build+drop ({:.0} ns/station)",
+            assembly.stations,
+            assembly.wall_ns as f64 / 1e6,
+            assembly.ns_per_station(),
+        );
+    }
     let federation = &report.federation;
     eprintln!(
         "bench_engine: federation {} segments x {} workers: {}x ({} handoffs over {} rounds, equivalent={}, n1_identical={}, completed={})",

@@ -34,8 +34,15 @@
 //!    identical statistics at every grid point; the report also carries
 //!    the poll-count telemetry (`polls` / `station_slots`) showing the
 //!    tier visits only contenders.
+//!    One extra point runs 1024 stations under a seeded crash
+//!    [`FaultPlan`], gated on completion and equivalence only.
 //! 6. **EDF queue ops** — `EdfQueue` push/pop throughput at benchmark
 //!    scale (exercises the `O(log n)` binary-heap path).
+//! 7. **Engine assembly** — building and dropping a z-station DDCR
+//!    engine through `network::build_engine` at z = 256, 1024 and 2048.
+//!    The gate requires the per-station cost at the largest point to
+//!    stay within [`MAX_ASSEMBLY_GROWTH`]× the smallest: assembly is
+//!    linear in z.
 //!
 //! All wall-clock numbers are single-machine and profile-dependent; the
 //! deterministic fields (`slots`, `delivered`, `equivalent`) are exact.
@@ -45,7 +52,9 @@ use crate::harness::{default_ddcr_config, run_protocol, ProtocolKind};
 use crate::json::Json;
 use ddcr_baseline::QueueDiscipline;
 use ddcr_core::{network, BurstConfig, EdfQueue, StaticAllocation};
-use ddcr_sim::{ChannelStats, ClassId, MediumConfig, Message, MessageId, SourceId, Ticks};
+use ddcr_sim::{
+    ChannelStats, ClassId, FaultPlan, FaultRates, MediumConfig, Message, MessageId, SourceId, Ticks,
+};
 use ddcr_traffic::{scenario, MessageSet, ScheduleBuilder};
 use std::time::Instant;
 
@@ -65,7 +74,11 @@ use std::time::Instant;
 /// swept across station counts on a sparse workload, gated ≥
 /// [`MIN_STATION_SCALE_SPEEDUP`]× at n ≥ [`STATION_SCALE_GATED_AT`] with
 /// equivalence and completion enforced at every grid point.
-pub const SCHEMA_VERSION: u64 = 6;
+/// Version 7 added the `assembly` array (engine build-plus-drop cost,
+/// gated on per-station growth ≤ [`MAX_ASSEMBLY_GROWTH`]×) and the
+/// `faulted` / `crashes` fields of `station_scale` entries, with one
+/// crash-faulted point required.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Default report location (relative to the workspace root, like
 /// `results/`).
@@ -113,6 +126,24 @@ pub const MIN_STATION_SCALE_SPEEDUP: f64 = 5.0;
 /// binds. Below it the speedup is informational: the O(n) cost the tier
 /// removes is too small to dominate wall clock at modest populations.
 pub const STATION_SCALE_GATED_AT: u64 = 2048;
+
+/// Population of the crash-faulted station-scale point.
+pub const FAULTED_STATION_SCALE_AT: u32 = 1024;
+
+/// Station counts of the engine-assembly measurement, smallest first. The
+/// gate compares the per-station cost at the last point with the first.
+pub const ASSEMBLY_GRID: [u32; 3] = [256, 1024, 2048];
+
+/// Gate threshold: building and dropping an engine of the largest
+/// [`ASSEMBLY_GRID`] population may cost at most this multiple of the
+/// smallest population's per-station cost. A replica that held
+/// network-sized state would grow with z instead.
+pub const MAX_ASSEMBLY_GROWTH: f64 = 3.0;
+
+/// Timing repeats per assembly point (minimum taken): one build is
+/// sub-millisecond, so scheduler noise needs more draws than the
+/// profile's repeats.
+const ASSEMBLY_REPEATS: usize = 5;
 
 /// How much work the suite does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,6 +434,10 @@ pub struct StationScaleResult {
     pub polls: u64,
     /// Decision slots × population — what a naive stepper would poll.
     pub station_slots: u64,
+    /// Whether both runs replayed a seeded crash [`FaultPlan`].
+    pub faulted: bool,
+    /// Station crashes the active-set run processed (0 unless faulted).
+    pub crashes: u64,
 }
 
 impl StationScaleResult {
@@ -511,6 +546,23 @@ impl FederationResult {
     }
 }
 
+/// Result of one engine-assembly measurement: `network::build_engine`
+/// followed by dropping the engine.
+#[derive(Debug, Clone)]
+pub struct AssemblyResult {
+    /// Stations assembled.
+    pub stations: u32,
+    /// Build-plus-drop wall time (min over repeats), nanoseconds.
+    pub wall_ns: u64,
+}
+
+impl AssemblyResult {
+    /// Build-plus-drop cost per station, nanoseconds.
+    pub fn ns_per_station(&self) -> f64 {
+        self.wall_ns as f64 / f64::from(self.stations.max(1))
+    }
+}
+
 /// Result of the EDF queue measurement.
 #[derive(Debug, Clone)]
 pub struct QueueResult {
@@ -535,6 +587,8 @@ pub struct BenchReport {
     pub drains: Vec<DrainResult>,
     /// Active-set station-scale sweep.
     pub station_scale: Vec<StationScaleResult>,
+    /// Engine assembly cost across populations.
+    pub assembly: Vec<AssemblyResult>,
     /// Multichannel scaling and capacity measurement.
     pub multichannel: MultichannelResult,
     /// Federated-segment scaling measurement.
@@ -872,14 +926,15 @@ pub fn station_scale_workload(stations: u32, rounds: u64) -> (MessageSet, Vec<Me
     (set, schedule)
 }
 
-/// One station-scale run: non-bursting DDCR over `schedule` with both
-/// fast-forward tiers on and the active-set scheduler toggled.
-/// Returns the final statistics, completion, `poll()` count, and decision
-/// slots resolved.
+/// One station-scale run: non-bursting DDCR over `schedule` under
+/// `faults` with both fast-forward tiers on and the active-set scheduler
+/// toggled. Returns the final statistics, completion, `poll()` count, and
+/// decision slots resolved.
 pub fn run_station_scale(
     set: &MessageSet,
     schedule: &[Message],
     medium: MediumConfig,
+    faults: &FaultPlan,
     active_set: bool,
 ) -> (ChannelStats, bool, u64, u64) {
     let config = default_ddcr_config(set, &medium);
@@ -890,6 +945,7 @@ pub fn run_station_scale(
     engine.set_fast_forward(true);
     engine.set_contention_fast_forward(true);
     engine.set_active_set(active_set);
+    engine.set_fault_plan(faults.clone());
     engine.add_arrivals(schedule.to_vec()).expect("arrivals route");
     let completed = engine.run_to_completion(Ticks(40_000_000_000)).is_ok();
     let polls = engine.poll_count();
@@ -897,35 +953,103 @@ pub fn run_station_scale(
     (engine.into_stats(), completed, polls, slots)
 }
 
-/// Measures the active-set station-scale sweep: the sparse workload at
-/// each grid population, active-set on vs off.
-pub fn measure_station_scale(profile: Profile) -> Vec<StationScaleResult> {
+/// The seeded crash plan of the faulted station-scale point: crashes only
+/// (as `ddcr run --crash 2e-6 --down 64` draws them), planned over the
+/// first half of the arrivals so every restarted station still hears
+/// stamped frames from later senders and resynchronizes.
+fn station_scale_faults(stations: u32, schedule: &[Message], medium: MediumConfig) -> FaultPlan {
+    let last_arrival = schedule
+        .iter()
+        .map(|m| m.arrival.as_u64())
+        .max()
+        .unwrap_or(0);
+    let rates = FaultRates {
+        corrupt: 0.0,
+        erase: 0.0,
+        crash: 2e-6,
+        down_slots: 64,
+    };
+    FaultPlan::generate(7, stations, last_arrival / 2 / medium.slot_ticks, &rates)
+}
+
+/// One station-scale point: the sparse workload at `stations`, under the
+/// seeded crash plan when `faulted`, active-set on vs off.
+fn measure_station_scale_point(
+    profile: Profile,
+    stations: u32,
+    faulted: bool,
+) -> StationScaleResult {
     let medium = MediumConfig::ethernet();
-    let rounds = profile.station_scale_rounds();
-    let mut out = Vec::new();
-    for stations in profile.station_scale_grid() {
-        let (set, schedule) = station_scale_workload(stations, rounds);
-        let ((active_stats, active_completed, polls, slots), active_wall_ns) =
-            min_wall(profile.repeats(), || {
-                run_station_scale(&set, &schedule, medium, true)
-            });
-        let ((baseline_stats, baseline_completed, _, _), baseline_wall_ns) =
-            min_wall(profile.repeats(), || {
-                run_station_scale(&set, &schedule, medium, false)
-            });
-        out.push(StationScaleResult {
-            stations,
-            messages: schedule.len() as u64,
-            slots,
-            active_wall_ns,
-            baseline_wall_ns,
-            equivalent: active_stats == baseline_stats,
-            completed: active_completed && baseline_completed,
-            polls,
-            station_slots: slots * u64::from(stations),
+    let (set, schedule) = station_scale_workload(stations, profile.station_scale_rounds());
+    let faults = if faulted {
+        station_scale_faults(stations, &schedule, medium)
+    } else {
+        FaultPlan::none()
+    };
+    let ((active_stats, active_completed, polls, slots), active_wall_ns) =
+        min_wall(profile.repeats(), || {
+            run_station_scale(&set, &schedule, medium, &faults, true)
         });
+    let ((baseline_stats, baseline_completed, _, _), baseline_wall_ns) =
+        min_wall(profile.repeats(), || {
+            run_station_scale(&set, &schedule, medium, &faults, false)
+        });
+    StationScaleResult {
+        stations,
+        messages: schedule.len() as u64,
+        slots,
+        active_wall_ns,
+        baseline_wall_ns,
+        equivalent: active_stats == baseline_stats,
+        completed: active_completed && baseline_completed,
+        polls,
+        station_slots: slots * u64::from(stations),
+        faulted,
+        crashes: active_stats.crashes,
     }
+}
+
+/// Measures the active-set station-scale sweep: the sparse workload at
+/// each grid population, active-set on vs off, plus the crash-faulted
+/// point at [`FAULTED_STATION_SCALE_AT`] stations. Entries come out in
+/// population order, a faulted point after the fault-free one.
+pub fn measure_station_scale(profile: Profile) -> Vec<StationScaleResult> {
+    let mut out: Vec<StationScaleResult> = profile
+        .station_scale_grid()
+        .into_iter()
+        .map(|stations| measure_station_scale_point(profile, stations, false))
+        .collect();
+    out.push(measure_station_scale_point(
+        profile,
+        FAULTED_STATION_SCALE_AT,
+        true,
+    ));
+    out.sort_by_key(|r| r.stations);
     out
+}
+
+/// Measures engine assembly: `network::build_engine` plus the drop of the
+/// engine at each [`ASSEMBLY_GRID`] population, on the station-scale
+/// message set. Setting up the configuration and the static allocation is
+/// not timed.
+pub fn measure_assembly() -> Vec<AssemblyResult> {
+    let medium = MediumConfig::ethernet();
+    ASSEMBLY_GRID
+        .into_iter()
+        .map(|stations| {
+            let (set, _) = station_scale_workload(stations, 1);
+            let config = default_ddcr_config(&set, &medium);
+            let allocation = StaticAllocation::round_robin(config.static_tree, stations)
+                .expect("round robin allocation");
+            let (built, wall_ns) = min_wall(ASSEMBLY_REPEATS, || {
+                network::build_engine(&set, &config, &allocation, medium)
+                    .expect("engine assembly")
+                    .station_count()
+            });
+            assert_eq!(built, stations as usize, "every station must be attached");
+            AssemblyResult { stations, wall_ns }
+        })
+        .collect()
 }
 
 /// Measures multichannel scaling on the saturated 4-channel workload from
@@ -1147,6 +1271,7 @@ pub fn run_suite(profile: Profile) -> BenchReport {
         contention: measure_contention(profile),
         drains: measure_drains(profile),
         station_scale: measure_station_scale(profile),
+        assembly: measure_assembly(),
         multichannel: measure_multichannel(profile),
         federation: measure_federation(profile),
         queue: measure_queue(profile),
@@ -1296,6 +1421,23 @@ impl BenchReport {
                                 ("polls", Json::from(s.polls)),
                                 ("station_slots", Json::from(s.station_slots)),
                                 ("poll_fraction", Json::from(s.poll_fraction())),
+                                ("faulted", Json::from(s.faulted)),
+                                ("crashes", Json::from(s.crashes)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "assembly",
+                Json::Array(
+                    self.assembly
+                        .iter()
+                        .map(|a| {
+                            Json::object([
+                                ("stations", Json::from(u64::from(a.stations))),
+                                ("wall_ns", Json::from(a.wall_ns)),
+                                ("ns_per_station", Json::from(a.ns_per_station())),
                             ])
                         })
                         .collect(),
@@ -1583,6 +1725,43 @@ pub fn check_report(doc: &Json) -> Vec<String> {
                     "station_scale has no gated entry (>= {STATION_SCALE_GATED_AT} stations)"
                 ));
             }
+            // A faulted point whose plan never crashed a station would
+            // measure the fault-free path twice.
+            if !entries.iter().any(|e| {
+                e.get("faulted").and_then(Json::as_bool) == Some(true)
+                    && e.get("crashes").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0
+            }) {
+                fail("station_scale has no faulted entry with crashes >= 1".into());
+            }
+        }
+    }
+
+    match doc.get("assembly").and_then(Json::as_array) {
+        None => fail("missing assembly".into()),
+        Some(entries) => {
+            // Per-station build-plus-drop cost at a grid population.
+            let per_station = |stations: u32| {
+                entries
+                    .iter()
+                    .find(|e| e.get("stations").and_then(Json::as_f64) == Some(f64::from(stations)))
+                    .and_then(|e| e.get("wall_ns"))
+                    .and_then(Json::as_f64)
+                    .filter(|&wall| wall > 0.0)
+                    .map(|wall| wall / f64::from(stations))
+            };
+            let smallest = ASSEMBLY_GRID[0];
+            let largest = ASSEMBLY_GRID[ASSEMBLY_GRID.len() - 1];
+            match (per_station(smallest), per_station(largest)) {
+                (Some(small), Some(large)) if large <= MAX_ASSEMBLY_GROWTH * small => {}
+                (Some(small), Some(large)) => fail(format!(
+                    "assembly per-station cost grows {:.2}x from {smallest} to {largest} \
+                     stations, above gate {MAX_ASSEMBLY_GROWTH}",
+                    large / small
+                )),
+                _ => fail(format!(
+                    "assembly needs positive wall_ns at {smallest} and {largest} stations"
+                )),
+            }
         }
     }
 
@@ -1780,6 +1959,21 @@ mod tests {
                     completed: true,
                     polls: 5_000,
                     station_slots: 128_000,
+                    faulted: false,
+                    crashes: 0,
+                },
+                StationScaleResult {
+                    stations: 1_024,
+                    messages: 2_048,
+                    slots: 40_000,
+                    active_wall_ns: 8_000,
+                    baseline_wall_ns: 30_000,
+                    equivalent: true,
+                    completed: true,
+                    polls: 90_000,
+                    station_slots: 40_960_000,
+                    faulted: true,
+                    crashes: 40,
                 },
                 StationScaleResult {
                     stations: 2_048,
@@ -1791,6 +1985,22 @@ mod tests {
                     completed: true,
                     polls: 150_000,
                     station_slots: 122_880_000,
+                    faulted: false,
+                    crashes: 0,
+                },
+            ],
+            assembly: vec![
+                AssemblyResult {
+                    stations: 256,
+                    wall_ns: 70_000,
+                },
+                AssemblyResult {
+                    stations: 1_024,
+                    wall_ns: 260_000,
+                },
+                AssemblyResult {
+                    stations: 2_048,
+                    wall_ns: 880_000,
                 },
             ],
             multichannel: MultichannelResult {
@@ -1866,7 +2076,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
-        let doc = Json::parse(r#"{"schema_version": 6}"#).unwrap();
+        let doc = Json::parse(r#"{"schema_version": 7}"#).unwrap();
         let violations = check_report(&doc);
         for needle in [
             "profile",
@@ -1875,6 +2085,7 @@ mod tests {
             "contention_fast_forward",
             "protocol_drain",
             "station_scale",
+            "assembly",
             "multichannel",
             "federation",
             "edf_queue",
@@ -2025,7 +2236,7 @@ mod tests {
         }
         assert!(check_report(&doc)
             .iter()
-            .any(|v| v.contains("station_scale[1].equivalent")));
+            .any(|v| v.contains("station_scale[2].equivalent")));
     }
 
     #[test]
@@ -2041,6 +2252,81 @@ mod tests {
         assert!(check_report(&doc)
             .iter()
             .any(|v| v.contains("station_scale has no gated entry")));
+    }
+
+    #[test]
+    fn station_scale_without_faulted_point_fails() {
+        let mut doc = passing_report();
+        if let Json::Object(map) = &mut doc {
+            if let Some(Json::Array(entries)) = map.get_mut("station_scale") {
+                if let Some(Json::Object(entry)) = entries.get_mut(1) {
+                    entry.insert("crashes".into(), Json::Number(0.0));
+                }
+            }
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("station_scale has no faulted entry")));
+        if let Json::Object(map) = &mut doc {
+            if let Some(Json::Array(entries)) = map.get_mut("station_scale") {
+                entries.retain(|e| e.get("faulted").and_then(Json::as_bool) != Some(true));
+            }
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("station_scale has no faulted entry")));
+    }
+
+    fn edit_assembly_wall(doc: &mut Json, stations: f64, wall_ns: f64) {
+        if let Json::Object(map) = doc {
+            if let Some(Json::Array(entries)) = map.get_mut("assembly") {
+                for entry in entries {
+                    if entry.get("stations").and_then(Json::as_f64) == Some(stations) {
+                        if let Json::Object(entry) = entry {
+                            entry.insert("wall_ns".into(), Json::Number(wall_ns));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn superlinear_assembly_fails_gate() {
+        // 2048 stations at 4.1 µs each against 256 at 0.27 µs: the
+        // quadratic shape of replicas that each copy the whole network.
+        let mut doc = passing_report();
+        edit_assembly_wall(&mut doc, 2048.0, 8_400_000.0);
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("assembly per-station cost grows")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn assembly_growth_at_the_bound_passes() {
+        // Exactly 3x the 256-station per-station cost still clears.
+        let mut doc = passing_report();
+        edit_assembly_wall(&mut doc, 2048.0, 3.0 * 70_000.0 * 8.0);
+        assert_eq!(check_report(&doc), Vec::<String>::new());
+    }
+
+    #[test]
+    fn assembly_without_the_gated_populations_fails() {
+        let mut doc = passing_report();
+        edit_assembly_wall(&mut doc, 256.0, 0.0);
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("assembly needs positive wall_ns")));
+        if let Json::Object(map) = &mut doc {
+            map.remove("assembly");
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("missing assembly")));
     }
 
     #[test]

@@ -243,7 +243,7 @@ pub fn check_scenario(
             DdcrStation::new(
                 ddcr_sim::SourceId(i),
                 config,
-                allocation.clone(),
+                &allocation,
                 medium.overhead_bits,
             )
             .expect("station")
@@ -445,7 +445,7 @@ pub fn check_scenario_with_faults(
             DdcrStation::new(
                 ddcr_sim::SourceId(i),
                 config,
-                allocation.clone(),
+                &allocation,
                 medium.overhead_bits,
             )
             .expect("station")
@@ -708,7 +708,7 @@ pub fn check_scenario_with_membership(
             DdcrStation::new(
                 ddcr_sim::SourceId(i),
                 config,
-                allocation.clone(),
+                &allocation,
                 medium.overhead_bits,
             )
             .expect("station")

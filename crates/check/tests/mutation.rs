@@ -126,13 +126,8 @@ fn network(z: u32, faults: &[(usize, Fault)]) -> Vec<Mutant> {
     let allocation = StaticAllocation::one_per_source(config.static_tree, z).unwrap();
     (0..z)
         .map(|i| {
-            let inner = DdcrStation::new(
-                SourceId(i),
-                config,
-                allocation.clone(),
-                medium.overhead_bits,
-            )
-            .unwrap();
+            let inner =
+                DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits).unwrap();
             let fault = faults
                 .iter()
                 .find(|(idx, _)| *idx == i as usize)

@@ -132,17 +132,13 @@ pub fn dimension(
     space: &SearchSpace,
 ) -> Result<Vec<Candidate>, DdcrError> {
     let z = set.sources();
-    if z == 0 || set.classes().is_empty() {
-        return Err(DdcrError::InvalidConfig(
-            "cannot dimension an empty message set".into(),
-        ));
-    }
     let d_max = set
         .classes()
         .iter()
         .map(|c| c.deadline.as_u64())
         .max()
-        .expect("non-empty");
+        .filter(|_| z > 0)
+        .ok_or_else(|| DdcrError::InvalidConfig("cannot dimension an empty message set".into()))?;
     let mut candidates = Vec::new();
     for &time_tree in &space.time_trees {
         for &mq in &space.static_branchings {
@@ -304,6 +300,17 @@ mod tests {
     fn rejects_empty_sets() {
         let set = ddcr_traffic::MessageSet::new(0, vec![]).unwrap();
         assert!(dimension(&set, &MediumConfig::ethernet(), &SearchSpace::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_set_without_classes() {
+        // Sources but no classes: there is no largest deadline to size
+        // the class width from.
+        let set = ddcr_traffic::MessageSet::new(4, vec![]).unwrap();
+        assert!(matches!(
+            dimension(&set, &MediumConfig::ethernet(), &SearchSpace::default()),
+            Err(DdcrError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -156,8 +156,7 @@ pub fn balance_by_load(set: &MessageSet, channels: usize) -> ChannelAssignment {
     let mut order: Vec<&MessageClass> = set.classes().iter().collect();
     order.sort_by(|a, b| {
         b.offered_load()
-            .partial_cmp(&a.offered_load())
-            .expect("finite loads")
+            .total_cmp(&a.offered_load())
             .then(a.id.0.cmp(&b.id.0))
     });
     let mut load = vec![0.0f64; channels];
@@ -620,6 +619,35 @@ mod tests {
         );
         // Stable across repeated invocations.
         assert_eq!(assignment, balance_by_load(&set, 2));
+    }
+
+    #[test]
+    fn balance_places_heaviest_class_first() {
+        // Loads 1, 2, 3, 4 on ids 0..4: LPT sorts them heaviest first, so
+        // 4 → channel 0, 3 → 1, 2 → 1 (3 < 4), 1 → 0 (4 < 5).
+        let classes: Vec<MessageClass> = (0..4u32)
+            .map(|i| MessageClass {
+                id: ClassId(i),
+                name: format!("c{i}"),
+                source: SourceId(0),
+                bits: 1_000 * u64::from(i + 1),
+                deadline: Ticks(1_000_000),
+                density: DensityBound::new(1, Ticks(1_000_000)).unwrap(),
+            })
+            .collect();
+        let set = MessageSet::new(1, classes).unwrap();
+        let expected: BTreeMap<ClassId, usize> = [
+            (ClassId(3), 0),
+            (ClassId(2), 1),
+            (ClassId(1), 1),
+            (ClassId(0), 0),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(
+            balance_by_load(&set, 2),
+            ChannelAssignment::new(&set, 2, expected).unwrap()
+        );
     }
 
     #[test]

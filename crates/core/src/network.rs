@@ -76,7 +76,7 @@ pub fn build_engine(
         engine.add_station(Box::new(DdcrStation::new(
             SourceId(i),
             *config,
-            allocation.clone(),
+            allocation,
             medium.overhead_bits,
         )?));
     }

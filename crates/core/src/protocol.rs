@@ -177,7 +177,7 @@ enum Mode {
 /// let station = DdcrStation::new(
 ///     SourceId(0),
 ///     config,
-///     allocation,
+///     &allocation,
 ///     MediumConfig::ethernet().overhead_bits,
 /// )?;
 /// assert_eq!(station.counters().transmitted, 0);
@@ -188,7 +188,9 @@ enum Mode {
 pub struct DdcrStation {
     source: SourceId,
     config: DdcrConfig,
-    allocation: StaticAllocation,
+    /// This source's ranked static leaves (its `ν_i` list): the only part
+    /// of the network-wide allocation a replica ever reads.
+    indices: Box<[u64]>,
     overhead_bits: u64,
     queue: EdfQueue,
     phase: Phase,
@@ -218,7 +220,8 @@ pub struct DdcrStation {
 }
 
 impl DdcrStation {
-    /// Creates a station replica.
+    /// Creates a station replica. The replica keeps only `source`'s own
+    /// ranked leaves, so building `z` stations costs `O(z)`.
     ///
     /// # Errors
     ///
@@ -227,7 +230,7 @@ impl DdcrStation {
     pub fn new(
         source: SourceId,
         config: DdcrConfig,
-        allocation: StaticAllocation,
+        allocation: &StaticAllocation,
         overhead_bits: u64,
     ) -> Result<Self, crate::DdcrError> {
         config.validate(allocation.sources())?;
@@ -240,7 +243,7 @@ impl DdcrStation {
         Ok(DdcrStation {
             source,
             config,
-            allocation,
+            indices: allocation.indices_of(source).into(),
             overhead_bits,
             queue: EdfQueue::new(),
             phase: Phase::Tts(TtsState {
@@ -615,8 +618,7 @@ impl Station for DdcrStation {
                 let (Some(interval), Some(&head)) = (interval, self.queue.head()) else {
                     return Action::Idle;
                 };
-                let indices = self.allocation.indices_of(self.source);
-                let Some(&my_index) = indices.get(self.sts_cursor as usize) else {
+                let Some(&my_index) = self.indices.get(self.sts_cursor as usize) else {
                     return Action::Idle; // ν_i messages already sent this STs
                 };
                 if interval.contains(my_index) && self.eligible_for_sts(&head, collided_leaf)
@@ -1110,8 +1112,7 @@ mod tests {
         let mut engine = Engine::new(medium).unwrap();
         for i in 0..z {
             engine.add_station(Box::new(
-                DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
-                    .unwrap(),
+                DdcrStation::new(SourceId(i), cfg, &allocation, medium.overhead_bits).unwrap(),
             ));
         }
         engine
@@ -1290,7 +1291,7 @@ mod tests {
             .unwrap()
             .with_bursting(crate::config::BurstConfig { max_extra_bits: 1_500 });
         let station = drive_solo(
-            DdcrStation::new(SourceId(0), cfg, alloc(&cfg), medium.overhead_bits).unwrap(),
+            DdcrStation::new(SourceId(0), cfg, &alloc(&cfg), medium.overhead_bits).unwrap(),
             arrivals(4),
         );
         assert_eq!(station.counters().transmitted, 4);
@@ -1301,7 +1302,7 @@ mod tests {
             .unwrap()
             .with_bursting(crate::config::BurstConfig::default());
         let station = drive_solo(
-            DdcrStation::new(SourceId(0), cfg, alloc(&cfg), medium.overhead_bits).unwrap(),
+            DdcrStation::new(SourceId(0), cfg, &alloc(&cfg), medium.overhead_bits).unwrap(),
             arrivals(4),
         );
         assert_eq!(station.counters().burst_continuations, 3);
@@ -1309,7 +1310,7 @@ mod tests {
         // Bursting disabled: none.
         let cfg = DdcrConfig::for_sources(1, Ticks(100_000)).unwrap();
         let station = drive_solo(
-            DdcrStation::new(SourceId(0), cfg, alloc(&cfg), medium.overhead_bits).unwrap(),
+            DdcrStation::new(SourceId(0), cfg, &alloc(&cfg), medium.overhead_bits).unwrap(),
             arrivals(4),
         );
         assert_eq!(station.counters().burst_continuations, 0);
@@ -1321,10 +1322,7 @@ mod tests {
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
         let mut stations: Vec<DdcrStation> = (0..3)
-            .map(|i| {
-                DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
-                    .unwrap()
-            })
+            .map(|i| DdcrStation::new(SourceId(i), cfg, &allocation, medium.overhead_bits).unwrap())
             .collect();
         stations[0].deliver(msg(0, 0, 0, 500_000));
         stations[1].deliver(msg(1, 1, 0, 500_000));
@@ -1391,7 +1389,7 @@ mod tests {
         let leaves = cfg.time_tree.leaves();
         let c = cfg.class_width.as_u64();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
-        let mut station = DdcrStation::new(SourceId(0), cfg, allocation, 208).unwrap();
+        let mut station = DdcrStation::new(SourceId(0), cfg, &allocation, 208).unwrap();
         // The head sits a TTs out while `dm − α − reft ≥ F·c`; with
         // 2.5 spans of slack beyond that threshold the formula promises
         // exactly 3 cycles (cycle 0 at `reft = 0`, cycles 1–2 at
@@ -1419,7 +1417,7 @@ mod tests {
         let slot = Ticks(512);
         let allocation = StaticAllocation::one_per_source(config().static_tree, 4).unwrap();
         // Empty queue: an unbounded pure observer.
-        let station = DdcrStation::new(SourceId(1), config(), allocation.clone(), 208).unwrap();
+        let station = DdcrStation::new(SourceId(1), config(), &allocation, 208).unwrap();
         let hint = station.attempt_cycle_hint(Ticks::ZERO, slot).unwrap();
         assert_eq!(hint.cycles, u64::MAX);
         assert_eq!(hint.contender, None);
@@ -1428,15 +1426,14 @@ mod tests {
         let theta_cfg = config().with_compressed_time(2);
         let theta_alloc =
             StaticAllocation::one_per_source(theta_cfg.static_tree, 4).unwrap();
-        let station = DdcrStation::new(SourceId(0), theta_cfg, theta_alloc, 208).unwrap();
+        let station = DdcrStation::new(SourceId(0), theta_cfg, &theta_alloc, 208).unwrap();
         assert_eq!(station.attempt_cycle_hint(Ticks::ZERO, slot).unwrap().cycles, 0);
         // Mid-cycle (one probe already observed): not a cycle start.
-        let mut station =
-            DdcrStation::new(SourceId(0), config(), allocation.clone(), 208).unwrap();
+        let mut station = DdcrStation::new(SourceId(0), config(), &allocation, 208).unwrap();
         station.observe(Ticks::ZERO, slot, &Observation::Silence);
         assert_eq!(station.attempt_cycle_hint(slot, slot).unwrap().cycles, 0);
         // Resynchronizing: no promise at all — refuses the whole run.
-        let mut station = DdcrStation::new(SourceId(0), config(), allocation, 208).unwrap();
+        let mut station = DdcrStation::new(SourceId(0), config(), &allocation, 208).unwrap();
         station.restart(Ticks::ZERO);
         assert!(station.attempt_cycle_hint(Ticks::ZERO, slot).is_none());
     }
@@ -1499,7 +1496,7 @@ mod tests {
                 .unwrap()
                 .with_compressed_time(theta);
             let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
-            let fresh = || DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
+            let fresh = || DdcrStation::new(SourceId(0), cfg, &allocation, 208).unwrap();
             for prefix in 0..8u64 {
                 let mut start = fresh();
                 ChannelSpan::Silence {
@@ -1540,8 +1537,7 @@ mod tests {
             + 40 * (m + 1) * slot.as_u64();
         for cycles in 1..=6u64 {
             for engaged in [true, false] {
-                let mut start =
-                    DdcrStation::new(SourceId(0), cfg, allocation.clone(), 208).unwrap();
+                let mut start = DdcrStation::new(SourceId(0), cfg, &allocation, 208).unwrap();
                 if engaged {
                     start.deliver(msg(0, 0, 0, dm));
                 }
@@ -1581,9 +1577,7 @@ mod tests {
         // checkpoint an engaged replica would hand the engine there.
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
-        let mk = |i| {
-            DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits).unwrap()
-        };
+        let mk = |i| DdcrStation::new(SourceId(i), cfg, &allocation, medium.overhead_bits).unwrap();
         let mut engaged = [mk(0), mk(1)];
         engaged[0].deliver(msg(0, 0, 0, 500_000));
         engaged[0].deliver(msg(1, 0, 0, 900_000));
@@ -1669,7 +1663,7 @@ mod tests {
         let mut station = DdcrStation::new(
             SourceId(0),
             config(),
-            StaticAllocation::one_per_source(config().static_tree, 4).unwrap(),
+            &StaticAllocation::one_per_source(config().static_tree, 4).unwrap(),
             208,
         )
         .unwrap();
@@ -1683,19 +1677,25 @@ mod tests {
 
     #[test]
     fn idle_station_reports_no_wakeup() {
-        let station =
-            DdcrStation::new(SourceId(0), config(),
-                StaticAllocation::one_per_source(config().static_tree, 4).unwrap(), 208)
-                .unwrap();
+        let station = DdcrStation::new(
+            SourceId(0),
+            config(),
+            &StaticAllocation::one_per_source(config().static_tree, 4).unwrap(),
+            208,
+        )
+        .unwrap();
         assert_eq!(station.next_ready(Ticks(0)), None);
     }
 
     #[test]
     fn loaded_station_reports_ready_now() {
-        let mut station =
-            DdcrStation::new(SourceId(0), config(),
-                StaticAllocation::one_per_source(config().static_tree, 4).unwrap(), 208)
-                .unwrap();
+        let mut station = DdcrStation::new(
+            SourceId(0),
+            config(),
+            &StaticAllocation::one_per_source(config().static_tree, 4).unwrap(),
+            208,
+        )
+        .unwrap();
         station.deliver(msg(0, 0, 0, 500_000));
         assert_eq!(station.next_ready(Ticks(0)), Some(Ticks(0)));
     }
@@ -1760,10 +1760,7 @@ mod tests {
         let medium = MediumConfig::ethernet();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 3).unwrap();
         let mut stations: Vec<DdcrStation> = (0..3)
-            .map(|i| {
-                DdcrStation::new(SourceId(i), cfg, allocation.clone(), medium.overhead_bits)
-                    .unwrap()
-            })
+            .map(|i| DdcrStation::new(SourceId(i), cfg, &allocation, medium.overhead_bits).unwrap())
             .collect();
         let mut down = [false; 3];
         let mut now = Ticks::ZERO;
@@ -1869,6 +1866,82 @@ mod tests {
     fn rejects_source_outside_allocation() {
         let cfg = config();
         let allocation = StaticAllocation::one_per_source(cfg.static_tree, 2).unwrap();
-        assert!(DdcrStation::new(SourceId(5), cfg, allocation, 208).is_err());
+        assert!(DdcrStation::new(SourceId(5), cfg, &allocation, 208).is_err());
+    }
+
+    #[test]
+    fn sts_transmits_only_at_own_leaves_up_to_nu() {
+        // z = 64 sources own ν = 3 contiguous leaves each of a q = 256
+        // static tree, so source 5 owns leaves 15, 16 and 17. Every source
+        // holds four messages of one deadline, so the TTs collides at one
+        // time leaf and a single STs resolves the whole network.
+        let z = 64;
+        let cfg = DdcrConfig::for_sources(z, Ticks(100_000))
+            .unwrap()
+            .with_static_tree(ddcr_tree::TreeShape::new(4, 4).unwrap());
+        let allocation = StaticAllocation::contiguous(cfg.static_tree, z, 3).unwrap();
+        let mut stations: Vec<DdcrStation> = (0..z)
+            .map(|i| DdcrStation::new(SourceId(i), cfg, &allocation, 208).unwrap())
+            .collect();
+        for (i, station) in (0..z).zip(stations.iter_mut()) {
+            for k in 0..4 {
+                station.deliver(msg(u64::from(i * 4 + k), i, 0, 500_000));
+            }
+        }
+        let me = 5;
+        let mine = [15, 16, 17];
+        assert_eq!(allocation.indices_of(SourceId(me)), mine);
+        // The STs leaves at which source 5's frames went through alone.
+        let mut delivered_at = Vec::new();
+        let mut seen_sts = false;
+        let mut now = Ticks::ZERO;
+        for _ in 0..10_000 {
+            let interval = match &stations[me as usize].phase {
+                Phase::Sts { search, .. } => search.current(),
+                _ => None,
+            };
+            if seen_sts && interval.is_none() {
+                break; // the STs is over
+            }
+            seen_sts |= interval.is_some();
+            let mut frames = Vec::new();
+            let mut me_sent = false;
+            for (i, station) in stations.iter_mut().enumerate() {
+                if let Action::Transmit(f) = station.poll(now) {
+                    me_sent |= i == me as usize;
+                    frames.push(f);
+                }
+            }
+            if let (Some(interval), true) = (interval, me_sent) {
+                assert!(
+                    delivered_at.len() < mine.len(),
+                    "transmitted past the ν cap at {interval:?}"
+                );
+                assert!(
+                    interval.contains(mine[delivered_at.len()]),
+                    "transmitted at {interval:?} outside its next leaf"
+                );
+            }
+            let (obs, advance) = match frames.len() {
+                0 => (Observation::Silence, Ticks(512)),
+                1 => (Observation::Busy(frames[0]), frames[0].duration()),
+                _ => (Observation::Collision { survivor: None }, Ticks(512)),
+            };
+            if let (Some(interval), Observation::Busy(f)) = (interval, &obs) {
+                if f.message.source == SourceId(me) {
+                    assert_eq!(interval.width, 1, "went through above leaf level");
+                    delivered_at.push(interval.lo);
+                }
+            }
+            let next_free = now + advance;
+            for station in &mut stations {
+                station.observe(now, next_free, &obs);
+            }
+            now = next_free;
+        }
+        assert!(seen_sts, "the TTs never collided into an STs");
+        assert_eq!(delivered_at, mine);
+        // The fourth message waits for the next search.
+        assert_eq!(stations[me as usize].backlog(), 1);
     }
 }

@@ -67,7 +67,7 @@ fn stations(z: u32, c: u64) -> Vec<DdcrStation> {
             DdcrStation::new(
                 SourceId(i),
                 config,
-                allocation.clone(),
+                &allocation,
                 MediumConfig::ethernet().overhead_bits,
             )
             .unwrap()
@@ -170,7 +170,7 @@ proptest! {
             .with_compressed_time(theta);
         let allocation = StaticAllocation::one_per_source(config.static_tree, z).unwrap();
         let mut sts: Vec<DdcrStation> = (0..z)
-            .map(|i| DdcrStation::new(SourceId(i), config, allocation.clone(), 208).unwrap())
+            .map(|i| DdcrStation::new(SourceId(i), config, &allocation, 208).unwrap())
             .collect();
         let mut now = Ticks::ZERO;
         for _ in 0..200 {

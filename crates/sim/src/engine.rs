@@ -78,6 +78,14 @@ struct StationHot {
     /// [`ABSENT`] sentinel, which never falls due on its own. Only ever
     /// populated by a non-empty fault or membership plan.
     down: Vec<Option<u64>>,
+    /// The restart fence: the earliest restart ordinal among crashed
+    /// stations (the minimum non-[`ABSENT`] entry of `down`), so the
+    /// per-operation fault checks need no scan of `down`. Rebuilt by every
+    /// fault-transition pass. `Engine::step` runs that pass right after
+    /// the membership transitions, the only other writer of `down` past
+    /// setup, so a join or leave that clears a pending restart is folded
+    /// in within the same slot.
+    next_restart: Option<u64>,
     /// Whether the active-set scheduler has parked the station (see
     /// [`WakeHint::Dormant`]). A parked station is never down and never in
     /// the `active` index.
@@ -87,6 +95,19 @@ struct StationHot {
     /// replayed yet — its next-wake position in the deferred channel
     /// history.
     cursor: Vec<u64>,
+}
+
+impl StationHot {
+    /// Recomputes the restart fence from `down` — the `O(stations)` walk
+    /// that [`StationHot::next_restart`] caches.
+    fn earliest_restart(&self) -> Option<u64> {
+        self.down
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&restart| restart != ABSENT)
+            .min()
+    }
 }
 
 /// The engine-held epoch-anchored wake shortcut: a resynchronization
@@ -906,10 +927,10 @@ impl Engine {
             // plan no restart can fall due.
             return false;
         }
-        self.hot.down
-            .iter()
-            .flatten()
-            .any(|&restart| restart <= self.slot_ordinal)
+        debug_assert_eq!(self.hot.next_restart, self.hot.earliest_restart());
+        self.hot
+            .next_restart
+            .is_some_and(|restart| restart <= self.slot_ordinal)
             || !self.faults.events_at(self.slot_ordinal).is_empty()
     }
 
@@ -962,7 +983,7 @@ impl Engine {
             self.slot_ordinal,
             fence_cap(
                 &self.faults,
-                &self.hot.down,
+                self.hot.next_restart,
                 self.slot_ordinal,
                 span.div_ceil_slots(Ticks(self.medium.slot_ticks)),
             ),
@@ -1038,7 +1059,12 @@ impl Engine {
         }
         let max_slots = self.membership.fence(
             self.slot_ordinal,
-            fence_cap(&self.faults, &self.hot.down, self.slot_ordinal, u64::MAX),
+            fence_cap(
+                &self.faults,
+                self.hot.next_restart,
+                self.slot_ordinal,
+                u64::MAX,
+            ),
         );
         let mut ran = false;
         if quiet > 0 && committed && max_slots > 0 && self.hint_attributable(&engaged) {
@@ -1235,7 +1261,12 @@ impl Engine {
         // stepper.
         let fenced_slots = self.membership.fence(
             self.slot_ordinal,
-            fence_cap(&self.faults, &self.hot.down, self.slot_ordinal, u64::MAX),
+            fence_cap(
+                &self.faults,
+                self.hot.next_restart,
+                self.slot_ordinal,
+                u64::MAX,
+            ),
         );
         cycles = cycles.min(fenced_slots / (probes + 1));
         if cycles == 0 {
@@ -1324,6 +1355,9 @@ impl Engine {
             // let dormancy re-form afterwards.
             self.wake_all();
         }
+        // The walk over `down` also rebuilds the restart fence from the
+        // stations that stay down.
+        let mut next_restart: Option<u64> = None;
         for idx in 0..self.hot.down.len() {
             if let Some(restart) = self.hot.down[idx] {
                 if restart <= ordinal {
@@ -1334,6 +1368,8 @@ impl Engine {
                     // The captured checkpoint predates this transition;
                     // drop it rather than rebase onto a stale epoch.
                     self.anchor = None;
+                } else if restart != ABSENT {
+                    next_restart = Some(next_restart.map_or(restart, |r| r.min(restart)));
                 }
             }
         }
@@ -1348,10 +1384,13 @@ impl Engine {
                 self.stats.push_lost(msg);
             }
             self.stats.crashes += 1;
-            self.hot.down[idx] = Some(ordinal + down_slots.max(1));
+            let restart = ordinal + down_slots.max(1);
+            self.hot.down[idx] = Some(restart);
+            next_restart = Some(next_restart.map_or(restart, |r| r.min(restart)));
             self.backlog_stale = true;
             self.anchor = None;
         }
+        self.hot.next_restart = next_restart;
     }
 
     /// Processes the membership changes due at the current slot ordinal:
@@ -2308,6 +2347,39 @@ mod tests {
         assert_eq!(e.stats().deliveries[0].message.source, SourceId(1));
         assert_eq!(e.stats().deliveries[1].message.id, MessageId(3));
         assert!(!e.is_down(0), "restart processed");
+    }
+
+    #[test]
+    fn leave_while_crashed_cancels_the_pending_restart() {
+        use crate::fault::{FaultEvent, FaultKind};
+        use crate::membership::MembershipEvent;
+        // Station 0 crashes at slot 0 with its restart due at slot 40, then
+        // leaves at slot 10 while still down. The leave must clear the
+        // restart fence as well (its debug_assert compares it with a scan
+        // of every station), and no restart is ever processed.
+        let mut e = engine_with_stations(2);
+        e.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
+            slot: 0,
+            kind: FaultKind::Crash {
+                station: 0,
+                down_slots: 40,
+            },
+        }]));
+        e.set_membership_plan(MembershipPlan::from_events(
+            Vec::new(),
+            vec![MembershipEvent {
+                slot: 10,
+                change: MembershipChange::Leave { station: 0 },
+            }],
+        ))
+        .unwrap();
+        e.add_arrivals([msg(0, 1, 0), msg(1, 1, 60 * 512)]).unwrap();
+        e.run_to_completion(Ticks(1_000_000)).unwrap();
+        assert_eq!(e.stats().crashes, 1);
+        assert_eq!(e.stats().leaves, 1);
+        assert_eq!(e.stats().restarts, 0);
+        assert!(e.is_absent(0));
+        assert_eq!(e.stats().deliveries.len(), 2);
     }
 
     #[test]

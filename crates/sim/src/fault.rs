@@ -270,24 +270,24 @@ impl FaultPlan {
 /// attempt-cycle runs) shares one fencing rule: a jump of at most `cap`
 /// decision slots starting at `slot_ordinal` must stop short of the next
 /// scheduled fault event **and** of the earliest pending station restart
-/// in `down` (`Some(r)` means the station restarts at ordinal `r`),
-/// because the slot a transition strikes must go through the reference
-/// stepper. Returns the fenced cap; with an empty plan nothing can be
-/// down (crashes only originate from the plan) and `cap` passes through
-/// untouched.
+/// (`next_restart`, the engine's restart fence: `Some(r)` means a crashed
+/// station restarts at ordinal `r`), because the slot a transition
+/// strikes must go through the reference stepper. Returns the fenced cap;
+/// with an empty plan nothing can be down (crashes only originate from
+/// the plan) and `cap` passes through untouched.
 pub(crate) fn fence_cap(
     plan: &FaultPlan,
-    down: &[Option<u64>],
+    next_restart: Option<u64>,
     slot_ordinal: u64,
     cap: u64,
 ) -> u64 {
     if plan.is_empty() {
         return cap;
     }
-    let mut wake = plan.next_event_at_or_after(slot_ordinal);
-    for &restart in down.iter().flatten() {
-        wake = Some(wake.map_or(restart, |w| w.min(restart)));
-    }
+    let wake = [plan.next_event_at_or_after(slot_ordinal), next_restart]
+        .into_iter()
+        .flatten()
+        .min();
     match wake {
         Some(w) => cap.min(w.saturating_sub(slot_ordinal)),
         None => cap,
@@ -472,8 +472,8 @@ mod tests {
     #[test]
     fn fence_cap_passes_through_with_empty_plan() {
         // No plan means no faults and nothing down: the cap is untouched.
-        assert_eq!(fence_cap(&FaultPlan::none(), &[], 0, u64::MAX), u64::MAX);
-        assert_eq!(fence_cap(&FaultPlan::none(), &[None, None], 7, 42), 42);
+        assert_eq!(fence_cap(&FaultPlan::none(), None, 0, u64::MAX), u64::MAX);
+        assert_eq!(fence_cap(&FaultPlan::none(), None, 7, 42), 42);
     }
 
     #[test]
@@ -483,15 +483,15 @@ mod tests {
             FaultEvent { slot: 30, kind: FaultKind::EraseFrame },
         ]);
         // From ordinal 4 the run may cover slots 4..10 only.
-        assert_eq!(fence_cap(&plan, &[None], 4, u64::MAX), 6);
+        assert_eq!(fence_cap(&plan, None, 4, u64::MAX), 6);
         // A tighter caller cap wins.
-        assert_eq!(fence_cap(&plan, &[None], 4, 3), 3);
+        assert_eq!(fence_cap(&plan, None, 4, 3), 3);
         // A fault due right now fences the run to zero slots.
-        assert_eq!(fence_cap(&plan, &[None], 10, u64::MAX), 0);
+        assert_eq!(fence_cap(&plan, None, 10, u64::MAX), 0);
         // Past the event, the next one fences.
-        assert_eq!(fence_cap(&plan, &[None], 11, u64::MAX), 19);
+        assert_eq!(fence_cap(&plan, None, 11, u64::MAX), 19);
         // Past every event, the cap passes through.
-        assert_eq!(fence_cap(&plan, &[None], 31, 9), 9);
+        assert_eq!(fence_cap(&plan, None, 31, 9), 9);
     }
 
     #[test]
@@ -502,16 +502,16 @@ mod tests {
         }]);
         // The scheduled event at slot 0 is behind us; only the restart at
         // ordinal 20 fences.
-        assert_eq!(fence_cap(&plan, &[Some(20), None], 5, u64::MAX), 15);
+        assert_eq!(fence_cap(&plan, Some(20), 5, u64::MAX), 15);
         // The earliest of restart and event wins.
         let plan2 = FaultPlan::from_events(vec![
             FaultEvent { slot: 0, kind: FaultKind::Crash { station: 0, down_slots: 20 } },
             FaultEvent { slot: 12, kind: FaultKind::CorruptSlot },
         ]);
-        assert_eq!(fence_cap(&plan2, &[Some(20), None], 5, u64::MAX), 7);
-        assert_eq!(fence_cap(&plan2, &[Some(9), None], 5, u64::MAX), 4);
+        assert_eq!(fence_cap(&plan2, Some(20), 5, u64::MAX), 7);
+        assert_eq!(fence_cap(&plan2, Some(9), 5, u64::MAX), 4);
         // A restart due at or before the current ordinal fences to zero.
-        assert_eq!(fence_cap(&plan, &[Some(5)], 5, u64::MAX), 0);
+        assert_eq!(fence_cap(&plan, Some(5), 5, u64::MAX), 0);
     }
 
     #[test]

@@ -44,10 +44,7 @@ fn replicas_never_diverge_over_long_runs() {
     let config = DdcrConfig::for_sources(z, Ticks(100_000)).unwrap();
     let allocation = StaticAllocation::round_robin(config.static_tree, z).unwrap();
     let mut stations: Vec<DdcrStation> = (0..z)
-        .map(|i| {
-            DdcrStation::new(SourceId(i), config, allocation.clone(), medium.overhead_bits)
-                .unwrap()
-        })
+        .map(|i| DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits).unwrap())
         .collect();
 
     // Mixed arrivals: bursts, same class, staggered, late.

@@ -62,13 +62,8 @@ fn build_engine(proto: Proto, z: u32, medium: MediumConfig, steppers: Steppers) 
                 StaticAllocation::one_per_source(config.static_tree, z).unwrap();
             for i in 0..z {
                 engine.add_station(Box::new(
-                    DdcrStation::new(
-                        SourceId(i),
-                        config,
-                        allocation.clone(),
-                        medium.overhead_bits,
-                    )
-                    .unwrap(),
+                    DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits)
+                        .unwrap(),
                 ));
             }
         }

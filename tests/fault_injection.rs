@@ -82,8 +82,7 @@ fn jammed_engine(z: u32, jam_probability: f64) -> (Engine, Vec<Message>) {
     let mut engine = Engine::new(medium).unwrap();
     for i in 0..z {
         engine.add_station(Box::new(
-            DdcrStation::new(SourceId(i), config, allocation.clone(), medium.overhead_bits)
-                .unwrap(),
+            DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits).unwrap(),
         ));
     }
     // The jammer sits on the bus as an extra station.
@@ -146,10 +145,7 @@ fn replicas_agree_despite_jamming() {
     let config = DdcrConfig::for_sources(z, Ticks(100_000)).unwrap();
     let allocation = StaticAllocation::one_per_source(config.static_tree, z).unwrap();
     let mut stations: Vec<DdcrStation> = (0..z)
-        .map(|i| {
-            DdcrStation::new(SourceId(i), config, allocation.clone(), medium.overhead_bits)
-                .unwrap()
-        })
+        .map(|i| DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits).unwrap())
         .collect();
     let mut jammer = Jammer::new(SourceId(z), 0.2, 7);
     for i in 0..z {

@@ -54,8 +54,7 @@ fn run_leaf_set(leaves: &[u64], reference: bool) -> SimMetrics {
     }
     for i in 0..z {
         engine.add_station(Box::new(
-            DdcrStation::new(SourceId(i), config, allocation.clone(), medium.overhead_bits)
-                .unwrap(),
+            DdcrStation::new(SourceId(i), config, &allocation, medium.overhead_bits).unwrap(),
         ));
     }
     let (time, static_) = ddcr_core::network::xi_bound_tables(&config).unwrap();
