@@ -13,7 +13,8 @@
 //! diverged, failed to complete, scaled below the 5x floor at >= 2048
 //! stations, or lacks its crash-faulted point, an assembly section whose
 //! per-station build-plus-drop cost at 2048 stations exceeds 3x the cost
-//! at 256, divergent fast/reference
+//! at 256, an admission section whose per-class request cost at 1024
+//! admitted flows exceeds 3x the cost at 128, divergent fast/reference
 //! statistics, incomplete drains, a multichannel section that diverged
 //! across worker counts, missed deadlines, lost its pinned capacity win,
 //! or — on hosts with >= 4 cores — scaled below the 2x floor, and a
@@ -97,6 +98,16 @@ fn main() {
                 Some(per_station(entries.last()?)? / per_station(entries.first()?)?)
             })
             .unwrap_or(f64::NAN);
+        // Per-class admission cost, largest over smallest admitted set.
+        let admission_growth = doc
+            .get("admission")
+            .and_then(Json::as_array)
+            .and_then(|entries| {
+                let per_class =
+                    |e: &Json| Some(e.get("median_ns")?.as_f64()? / e.get("flows")?.as_f64()?);
+                Some(per_class(entries.last()?)? / per_class(entries.first()?)?)
+            })
+            .unwrap_or(f64::NAN);
         let multichannel = doc.get("multichannel");
         let multichannel_speedup = multichannel
             .and_then(|m| m.get("speedup"))
@@ -121,6 +132,7 @@ fn main() {
              contention tier {contention_speedup:.1}x, \
              active set {scale_speedup:.1}x at {scale_stations:.0} stations, \
              assembly growth {assembly_growth:.2}x per station, \
+             admission growth {admission_growth:.2}x per class, \
              multichannel {multichannel_speedup:.1}x on {host:.0} cores, \
              federation {federation_speedup:.1}x with {handoffs:.0} handoffs)"
         );

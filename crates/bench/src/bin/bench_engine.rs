@@ -67,6 +67,14 @@ fn main() {
             assembly.ns_per_station(),
         );
     }
+    for admission in &report.admission {
+        eprintln!(
+            "bench_engine: admission at {} flows: {:.1} us/request ({:.0} ns/class)",
+            admission.flows,
+            admission.us_per_request(),
+            admission.ns_per_class(),
+        );
+    }
     let federation = &report.federation;
     eprintln!(
         "bench_engine: federation {} segments x {} workers: {}x ({} handoffs over {} rounds, equivalent={}, n1_identical={}, completed={})",

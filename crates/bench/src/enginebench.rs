@@ -43,6 +43,11 @@
 //!    The gate requires the per-station cost at the largest point to
 //!    stay within [`MAX_ASSEMBLY_GROWTH`]× the smallest: assembly is
 //!    linear in z.
+//! 8. **Admission** — one `Membership::admit` request (the `ddcr serve`
+//!    flow path) against 128 and 1024 admitted flows, median of
+//!    [`ADMISSION_SAMPLES`] requests. The gate requires the cost per
+//!    admitted class at 1024 to stay within [`MAX_ADMISSION_GROWTH`]× the
+//!    cost at 128: a request is linear in the admitted set.
 //!
 //! All wall-clock numbers are single-machine and profile-dependent; the
 //! deterministic fields (`slots`, `delivered`, `equivalent`) are exact.
@@ -51,7 +56,10 @@
 use crate::harness::{default_ddcr_config, run_protocol, ProtocolKind};
 use crate::json::Json;
 use ddcr_baseline::QueueDiscipline;
-use ddcr_core::{network, BurstConfig, EdfQueue, StaticAllocation};
+use ddcr_core::{
+    network, AdmissionDecision, BurstConfig, DdcrConfig, EdfQueue, FlowRequest, Membership,
+    StaticAllocation,
+};
 use ddcr_sim::{
     ChannelStats, ClassId, FaultPlan, FaultRates, MediumConfig, Message, MessageId, SourceId, Ticks,
 };
@@ -78,7 +86,10 @@ use std::time::Instant;
 /// gated on per-station growth ≤ [`MAX_ASSEMBLY_GROWTH`]×) and the
 /// `faulted` / `crashes` fields of `station_scale` entries, with one
 /// crash-faulted point required.
-pub const SCHEMA_VERSION: u64 = 7;
+/// Version 8 added the `admission` array (one `Membership::admit` request
+/// at two admitted-set sizes, gated on per-class growth ≤
+/// [`MAX_ADMISSION_GROWTH`]×).
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Default report location (relative to the workspace root, like
 /// `results/`).
@@ -144,6 +155,22 @@ pub const MAX_ASSEMBLY_GROWTH: f64 = 3.0;
 /// sub-millisecond, so scheduler noise needs more draws than the
 /// profile's repeats.
 const ASSEMBLY_REPEATS: usize = 5;
+
+/// Admitted-flow counts of the admission measurement, smallest first. The
+/// gate compares the per-class cost at the last point with the first.
+pub const ADMISSION_GRID: [u32; 2] = [128, 1024];
+
+/// Gate threshold: one admission request against the largest
+/// [`ADMISSION_GRID`] set may cost at most this multiple of the smallest
+/// set's cost per admitted class. Re-evaluating the whole candidate set
+/// per request would grow with the set instead.
+pub const MAX_ADMISSION_GROWTH: f64 = 3.0;
+
+/// Timed requests per admission point (median taken).
+pub const ADMISSION_SAMPLES: usize = 31;
+
+/// Attachment points of the admission measurement (as `serve-churn`).
+const ADMISSION_STATIONS: u32 = 64;
 
 /// How much work the suite does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -563,6 +590,28 @@ impl AssemblyResult {
     }
 }
 
+/// Result of one admission measurement: a `Membership::admit` request
+/// against `flows` admitted flows.
+#[derive(Debug, Clone)]
+pub struct AdmissionResult {
+    /// Flows admitted before the timed request.
+    pub flows: u32,
+    /// Median wall time of one request, nanoseconds.
+    pub median_ns: u64,
+}
+
+impl AdmissionResult {
+    /// Median request cost, microseconds.
+    pub fn us_per_request(&self) -> f64 {
+        self.median_ns as f64 / 1e3
+    }
+
+    /// Median request cost per admitted flow, nanoseconds.
+    pub fn ns_per_class(&self) -> f64 {
+        self.median_ns as f64 / f64::from(self.flows.max(1))
+    }
+}
+
 /// Result of the EDF queue measurement.
 #[derive(Debug, Clone)]
 pub struct QueueResult {
@@ -589,6 +638,8 @@ pub struct BenchReport {
     pub station_scale: Vec<StationScaleResult>,
     /// Engine assembly cost across populations.
     pub assembly: Vec<AssemblyResult>,
+    /// Admission request cost across admitted-set sizes.
+    pub admission: Vec<AdmissionResult>,
     /// Multichannel scaling and capacity measurement.
     pub multichannel: MultichannelResult,
     /// Federated-segment scaling measurement.
@@ -1052,6 +1103,61 @@ pub fn measure_assembly() -> Vec<AssemblyResult> {
         .collect()
 }
 
+/// The `n`-th flow of the admission measurement: light enough that every
+/// request of the grid is admitted, spread round-robin over the stations.
+fn admission_flow(n: u32) -> FlowRequest {
+    FlowRequest {
+        source: SourceId(n % ADMISSION_STATIONS),
+        name: format!("flow-{n}"),
+        bits: 8_000,
+        deadline: Ticks(1_000_000_000 + u64::from(n % 7) * 1_000_000),
+        arrivals: 1,
+        window: Ticks(1_000_000_000),
+    }
+}
+
+/// Measures one `Membership::admit` request at each [`ADMISSION_GRID`]
+/// size: every station joined, that many flows admitted untimed, then
+/// [`ADMISSION_SAMPLES`] fresh requests, each timed against its own copy
+/// of the membership so the set stays at the grid size. Reports the
+/// median.
+pub fn measure_admission() -> Vec<AdmissionResult> {
+    let config = DdcrConfig::for_sources(ADMISSION_STATIONS, Ticks(100_000))
+        .expect("admission configuration");
+    ADMISSION_GRID
+        .into_iter()
+        .map(|flows| {
+            let mut membership =
+                Membership::new(config, MediumConfig::ethernet(), ADMISSION_STATIONS, 1)
+                    .expect("admission membership");
+            for s in 0..ADMISSION_STATIONS {
+                membership.join(SourceId(s)).expect("join");
+            }
+            let admit = |membership: &mut Membership, n: u32| {
+                let decision = membership.admit(&admission_flow(n)).expect("admission");
+                assert!(
+                    matches!(decision, AdmissionDecision::Admitted { .. }),
+                    "admission flow {n} must be admitted: {decision:?}"
+                );
+            };
+            for n in 0..flows {
+                admit(&mut membership, n);
+            }
+            let mut samples: Vec<u64> = (0..ADMISSION_SAMPLES as u32)
+                .map(|i| {
+                    let mut probe = membership.clone();
+                    time(|| admit(&mut probe, flows + i)).1
+                })
+                .collect();
+            samples.sort_unstable();
+            AdmissionResult {
+                flows,
+                median_ns: samples[samples.len() / 2],
+            }
+        })
+        .collect()
+}
+
 /// Measures multichannel scaling on the saturated 4-channel workload from
 /// experiment E15: a 32-participant videoconference on gigabit Ethernet —
 /// infeasible on one channel, provably feasible split over four. The same
@@ -1272,6 +1378,7 @@ pub fn run_suite(profile: Profile) -> BenchReport {
         drains: measure_drains(profile),
         station_scale: measure_station_scale(profile),
         assembly: measure_assembly(),
+        admission: measure_admission(),
         multichannel: measure_multichannel(profile),
         federation: measure_federation(profile),
         queue: measure_queue(profile),
@@ -1438,6 +1545,22 @@ impl BenchReport {
                                 ("stations", Json::from(u64::from(a.stations))),
                                 ("wall_ns", Json::from(a.wall_ns)),
                                 ("ns_per_station", Json::from(a.ns_per_station())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "admission",
+                Json::Array(
+                    self.admission
+                        .iter()
+                        .map(|a| {
+                            Json::object([
+                                ("flows", Json::from(u64::from(a.flows))),
+                                ("median_ns", Json::from(a.median_ns)),
+                                ("us_per_request", Json::from(a.us_per_request())),
+                                ("ns_per_class", Json::from(a.ns_per_class())),
                             ])
                         })
                         .collect(),
@@ -1765,6 +1888,35 @@ pub fn check_report(doc: &Json) -> Vec<String> {
         }
     }
 
+    match doc.get("admission").and_then(Json::as_array) {
+        None => fail("missing admission".into()),
+        Some(entries) => {
+            // Median request cost per admitted flow at a grid size.
+            let per_class = |flows: u32| {
+                entries
+                    .iter()
+                    .find(|e| e.get("flows").and_then(Json::as_f64) == Some(f64::from(flows)))
+                    .and_then(|e| e.get("median_ns"))
+                    .and_then(Json::as_f64)
+                    .filter(|&ns| ns > 0.0)
+                    .map(|ns| ns / f64::from(flows))
+            };
+            let smallest = ADMISSION_GRID[0];
+            let largest = ADMISSION_GRID[ADMISSION_GRID.len() - 1];
+            match (per_class(smallest), per_class(largest)) {
+                (Some(small), Some(large)) if large <= MAX_ADMISSION_GROWTH * small => {}
+                (Some(small), Some(large)) => fail(format!(
+                    "admission per-class cost grows {:.2}x from {smallest} to {largest} \
+                     flows, above gate {MAX_ADMISSION_GROWTH}",
+                    large / small
+                )),
+                _ => fail(format!(
+                    "admission needs positive median_ns at {smallest} and {largest} flows"
+                )),
+            }
+        }
+    }
+
     match doc.get("multichannel") {
         None => fail("missing multichannel".into()),
         Some(section) => {
@@ -2003,6 +2155,16 @@ mod tests {
                     wall_ns: 880_000,
                 },
             ],
+            admission: vec![
+                AdmissionResult {
+                    flows: 128,
+                    median_ns: 12_800,
+                },
+                AdmissionResult {
+                    flows: 1_024,
+                    median_ns: 110_000,
+                },
+            ],
             multichannel: MultichannelResult {
                 channels: 4,
                 participants: 32,
@@ -2076,7 +2238,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
-        let doc = Json::parse(r#"{"schema_version": 7}"#).unwrap();
+        let doc = Json::parse(r#"{"schema_version": 8}"#).unwrap();
         let violations = check_report(&doc);
         for needle in [
             "profile",
@@ -2086,6 +2248,7 @@ mod tests {
             "protocol_drain",
             "station_scale",
             "assembly",
+            "admission",
             "multichannel",
             "federation",
             "edf_queue",
@@ -2327,6 +2490,65 @@ mod tests {
         assert!(check_report(&doc)
             .iter()
             .any(|v| v.contains("missing assembly")));
+    }
+
+    fn edit_admission_median(doc: &mut Json, flows: f64, median_ns: f64) {
+        if let Json::Object(map) = doc {
+            if let Some(Json::Array(entries)) = map.get_mut("admission") {
+                for entry in entries {
+                    if entry.get("flows").and_then(Json::as_f64) == Some(flows) {
+                        if let Json::Object(entry) = entry {
+                            entry.insert("median_ns".into(), Json::Number(median_ns));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadratic_admission_fails_gate() {
+        // 1024 flows at 800 ns each against 128 at 100 ns: the shape of a
+        // request that re-evaluates every pair of the candidate set.
+        let mut doc = passing_report();
+        edit_admission_median(&mut doc, 1024.0, 819_200.0);
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("admission per-class cost grows")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn admission_growth_at_the_bound_passes() {
+        let mut doc = passing_report();
+        edit_admission_median(&mut doc, 1024.0, 3.0 * 100.0 * 1024.0);
+        assert_eq!(check_report(&doc), Vec::<String>::new());
+    }
+
+    #[test]
+    fn admission_without_the_gated_sizes_fails() {
+        let mut doc = passing_report();
+        edit_admission_median(&mut doc, 128.0, 0.0);
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("admission needs positive median_ns")));
+        if let Json::Object(map) = &mut doc {
+            map.remove("admission");
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("missing admission")));
+    }
+
+    #[test]
+    fn admission_measurement_covers_the_grid() {
+        let results = measure_admission();
+        let flows: Vec<u32> = results.iter().map(|r| r.flows).collect();
+        assert_eq!(flows, ADMISSION_GRID);
+        assert!(results.iter().all(|r| r.median_ns > 0));
     }
 
     #[test]

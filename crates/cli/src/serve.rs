@@ -355,6 +355,44 @@ not json at all\n\
     }
 
     #[test]
+    fn overflowing_flow_is_refused_and_changes_nothing() {
+        // Its transmission term is 2^64 ticks on Ethernet (l' = 2^63, two
+        // arrivals per window). Unchecked, the sum wrapped and the flow was
+        // admitted with a bound of 8704 ticks against a 2^63 deadline.
+        let wrap = "{\"op\":\"flow\",\"station\":0,\"name\":\"wrap\",\
+\"bits\":9223372036854775600,\"deadline\":9223372036854775808,\
+\"arrivals\":1,\"window\":4611686018427387904}";
+        let script = format!(
+            "{{\"op\":\"join\",\"station\":0}}\n{wrap}\n{{\"op\":\"status\"}}\n\
+             {{\"op\":\"flow\",\"station\":0,\"name\":\"t\",\"bits\":8000,\
+             \"deadline\":50000000,\"arrivals\":1,\"window\":10000000}}\n"
+        );
+        let (out, safe) = run(&script, &opts());
+        assert!(safe, "{out}");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{out}");
+        assert!(
+            lines[1].starts_with("{\"ok\":false,\"op\":\"flow\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[1].contains("overflows u64"), "{}", lines[1]);
+        assert!(lines[2].contains("\"flows\":0"), "{}", lines[2]);
+        // The refused request took no class id.
+        assert!(
+            lines[3].contains("\"decision\":\"admit\",\"class\":0"),
+            "{}",
+            lines[3]
+        );
+        assert!(lines[4].contains("\"flows\":1") && lines[4].contains("\"safe\":true"));
+        assert_eq!(
+            run(&script, &opts()).0,
+            out,
+            "replay must be byte-identical"
+        );
+    }
+
+    #[test]
     fn replay_is_byte_identical() {
         let script = "\
 {\"op\":\"join\",\"station\":0}\n\

@@ -129,13 +129,14 @@ impl FeasibilityReport {
 }
 
 /// Exact `⌈num/den⌉` for possibly-negative numerators, clamped at zero
-/// (a non-positive window contributes no arrivals).
+/// (a non-positive window contributes no arrivals). The quotient of an
+/// `i128` numerator always fits a `u128`; the caller narrows it.
 ///
 /// # Errors
 ///
 /// Returns [`DdcrError::InvalidConfig`] for a zero divisor (a degenerate
 /// density window) rather than aborting on the integer division.
-fn ceil_div_clamped(num: i128, den: u64) -> Result<u64, DdcrError> {
+fn ceil_div_clamped(num: i128, den: u64) -> Result<u128, DdcrError> {
     if den == 0 {
         return Err(DdcrError::InvalidConfig(
             "class density window w must be positive".into(),
@@ -143,9 +144,12 @@ fn ceil_div_clamped(num: i128, den: u64) -> Result<u64, DdcrError> {
     }
     if num <= 0 {
         Ok(0)
+    } else if let Ok(num) = u64::try_from(num) {
+        // The common case, without a 128-bit division.
+        Ok(u128::from(num.div_ceil(den)))
     } else {
         let den = den as i128;
-        Ok(((num + den - 1) / den) as u64)
+        Ok(((num + den - 1) / den) as u128)
     }
 }
 
@@ -180,48 +184,217 @@ pub fn evaluate(
     allocation: &StaticAllocation,
     medium: &MediumConfig,
 ) -> Result<FeasibilityReport, DdcrError> {
-    config.validate(set.sources())?;
-    if allocation.sources() < set.sources() {
-        return Err(DdcrError::InvalidConfig(format!(
-            "allocation covers {} sources, message set has {}",
-            allocation.sources(),
-            set.sources()
-        )));
-    }
+    check_shape(set.sources(), config, allocation)?;
     let mut per_class = Vec::with_capacity(set.classes().len());
     for target in set.classes() {
-        per_class.push(evaluate_class(set, config, allocation, medium, target)?);
+        let side = TargetSide::new(target, medium)?;
+        let mut sums = ClassSums::default();
+        for m in set.classes() {
+            sums = side.add(sums, m, medium)?;
+        }
+        per_class.push(finish_class(target, sums, config, allocation, medium)?);
     }
     Ok(FeasibilityReport { per_class })
 }
 
-fn evaluate_class(
-    set: &MessageSet,
+/// The configuration checks [`evaluate`] makes before any class: the
+/// static tree seats `sources` and the allocation covers them.
+///
+/// # Errors
+///
+/// Returns [`DdcrError::InvalidConfig`] naming the mismatch.
+pub(crate) fn check_shape(
+    sources: u32,
+    config: &DdcrConfig,
+    allocation: &StaticAllocation,
+) -> Result<(), DdcrError> {
+    config.validate(sources)?;
+    if allocation.sources() < sources {
+        return Err(DdcrError::InvalidConfig(format!(
+            "allocation covers {} sources, message set has {}",
+            allocation.sources(),
+            sources
+        )));
+    }
+    Ok(())
+}
+
+/// The error for a `B_DDCR` integer step of `target` that leaves `u64`.
+fn overflow(target: &MessageClass) -> DdcrError {
+    DdcrError::InvalidConfig(format!(
+        "B_DDCR for class {} overflows u64 (r, u, v or the transmission term)",
+        target.id.0
+    ))
+}
+
+/// The three integer sums of §4.3 for one target class `M`, `r(M)` before
+/// its `− 1`: one term per interferer `m`, see [`pair_terms`].
+///
+/// Every term is non-negative, so the sums can be kept incrementally (add
+/// a class's terms when it is admitted, subtract them when it leaves), and
+/// a checked running sum overflows exactly when the full sum does, in any
+/// order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ClassSums {
+    /// `Σ_{m ∈ MSG_i} ⌈d(M)/w(m)⌉·a(m)`.
+    pub(crate) r: u64,
+    /// `u(M)`.
+    pub(crate) u: u64,
+    /// The transmission term `Σ_{m ∈ MSG} ⌈…⌉·a(m)·l'(m)/ψ`, ticks.
+    pub(crate) transmission_ticks: u64,
+}
+
+impl ClassSums {
+    fn combine(self, terms: ClassSums, op: fn(u64, u64) -> Option<u64>) -> Option<ClassSums> {
+        Some(ClassSums {
+            r: op(self.r, terms.r)?,
+            u: op(self.u, terms.u)?,
+            transmission_ticks: op(self.transmission_ticks, terms.transmission_ticks)?,
+        })
+    }
+
+    /// Adds the terms `interferer` contributes to `target`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdcrError::InvalidConfig`] when a term or a sum leaves
+    /// `u64`.
+    pub(crate) fn add_pair(
+        self,
+        target: &MessageClass,
+        interferer: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        TargetSide::new(target, medium)?.add(self, interferer, medium)
+    }
+
+    /// Removes the terms `interferer` contributes to `target`: the inverse
+    /// of [`ClassSums::add_pair`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdcrError::InvalidConfig`] when those terms were never
+    /// added (a sum would go negative).
+    pub(crate) fn remove_pair(
+        self,
+        target: &MessageClass,
+        interferer: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        let terms = pair_terms(target, interferer, medium)?;
+        self.combine(terms, u64::checked_sub).ok_or_else(|| {
+            DdcrError::InvalidConfig(format!(
+                "class {} never counted class {} as an interferer",
+                target.id.0, interferer.id.0
+            ))
+        })
+    }
+}
+
+/// The terms `interferer` contributes to the §4.3 sums of `target` (the
+/// two may be the same class): its `r(M)` term when both share a source,
+/// and its `u(M)` and transmission terms. Every step is checked.
+///
+/// # Errors
+///
+/// Returns [`DdcrError::InvalidConfig`] for a zero density window or when
+/// a term leaves `u64`.
+pub(crate) fn pair_terms(
+    target: &MessageClass,
+    interferer: &MessageClass,
+    medium: &MediumConfig,
+) -> Result<ClassSums, DdcrError> {
+    TargetSide::new(target, medium)?.terms(interferer, medium)
+}
+
+/// What the terms of [`pair_terms`] read from the target `M`, read once
+/// per target: [`evaluate`] walks every interferer of a target in one
+/// inlined loop.
+struct TargetSide<'a> {
+    class: &'a MessageClass,
+    /// `d(M)`.
+    d_m: i128,
+    /// `l'(M)/ψ` at ψ = 1.
+    lp_m: i128,
+}
+
+impl<'a> TargetSide<'a> {
+    fn new(class: &'a MessageClass, medium: &MediumConfig) -> Result<Self, DdcrError> {
+        let lp_m = medium
+            .checked_wire_bits(class.bits)
+            .ok_or_else(|| overflow(class))?;
+        Ok(TargetSide {
+            class,
+            d_m: i128::from(class.deadline.as_u64()),
+            lp_m: i128::from(lp_m),
+        })
+    }
+
+    #[inline(always)]
+    fn terms(
+        &self,
+        interferer: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        let count = |window: i128| -> Result<u64, DdcrError> {
+            let ceil = ceil_div_clamped(window, interferer.density.w.as_u64())?;
+            u64::try_from(ceil)
+                .ok()
+                .and_then(|c| c.checked_mul(interferer.density.a))
+                .ok_or_else(|| overflow(self.class))
+        };
+        // r(M): messages of MSG_i that can be serviced before M.
+        let r = if interferer.source == self.class.source {
+            count(self.d_m)?
+        } else {
+            0
+        };
+        // u(M) and the transmission-time term share the same count.
+        let u = count(self.d_m + i128::from(interferer.deadline.as_u64()) - self.lp_m)?;
+        let transmission_ticks = medium
+            .checked_wire_bits(interferer.bits)
+            .and_then(|lp| u.checked_mul(lp))
+            .ok_or_else(|| overflow(self.class))?;
+        Ok(ClassSums {
+            r,
+            u,
+            transmission_ticks,
+        })
+    }
+
+    #[inline(always)]
+    fn add(
+        &self,
+        sums: ClassSums,
+        interferer: &MessageClass,
+        medium: &MediumConfig,
+    ) -> Result<ClassSums, DdcrError> {
+        sums.combine(self.terms(interferer, medium)?, u64::checked_add)
+            .ok_or_else(|| overflow(self.class))
+    }
+}
+
+/// Turns the sums of `target` into its verdict: `v(M)`, `S1` through the
+/// memoized P2 bound, `S2` in closed form, and `B_DDCR(s_i, M)`.
+///
+/// # Errors
+///
+/// Returns [`DdcrError::InvalidConfig`] when the source owns no static
+/// indices, when `v(M)` or the `q·v` / `2·v` products leave `u64`, or when
+/// the bound is not finite.
+pub(crate) fn finish_class(
+    target: &MessageClass,
+    sums: ClassSums,
     config: &DdcrConfig,
     allocation: &StaticAllocation,
     medium: &MediumConfig,
-    target: &MessageClass,
 ) -> Result<ClassFeasibility, DdcrError> {
-    let d_m = target.deadline.as_u64() as i128;
-    let lp_m = medium.wire_bits(target.bits) as i128; // l'(M)/ψ at ψ = 1
-
-    // r(M): messages of MSG_i that can be serviced before M.
-    let mut r: u64 = 0;
-    for m in set.classes_of(target.source) {
-        r += ceil_div_clamped(d_m, m.density.w.as_u64())? * m.density.a;
-    }
+    let ClassSums {
+        r,
+        u,
+        transmission_ticks,
+    } = sums;
     let r = r.saturating_sub(1);
-
-    // u(M) and the transmission-time term share the same per-class counts.
-    let mut u: u64 = 0;
-    let mut transmission_ticks: u64 = 0;
-    for m in set.classes() {
-        let window = d_m + m.deadline.as_u64() as i128 - lp_m;
-        let count = ceil_div_clamped(window, m.density.w.as_u64())? * m.density.a;
-        u += count;
-        transmission_ticks += count * medium.wire_bits(m.bits);
-    }
-
     let nu = allocation.nu(target.source);
     if nu == 0 {
         // Reachable online: a leaving station's leaves are reclaimed, so a
@@ -232,12 +405,13 @@ fn evaluate_class(
             target.source.0
         )));
     }
-    let mut v = 1 + r / nu;
+    let mut v = (r / nu).checked_add(1).ok_or_else(|| overflow(target))?;
     let q = config.static_tree.leaves();
     // The P2 bound needs u/v ≤ q; if the interference exceeds what v static
     // trees can carry, more searches will actually run — raising v keeps
-    // the bound on the safe (conservative) side.
-    if u > q * v {
+    // the bound on the safe (conservative) side. A `q·v` past `u64` is
+    // above every `u`.
+    if q.checked_mul(v).is_some_and(|qv| u > qv) {
         v = u.div_ceil(q);
     }
 
@@ -249,8 +423,13 @@ fn evaluate_class(
     let s1 = if u == 0 {
         0.0
     } else {
-        let problem = MultiTreeProblem::new(config.static_tree, u.max(2 * v), v)
-            .map_err(DdcrError::Tree)?;
+        // `MultiTreeProblem::new` forms `2·v` and `q·v` itself.
+        let two_v = v
+            .checked_mul(2)
+            .filter(|_| q.checked_mul(v).is_some())
+            .ok_or_else(|| overflow(target))?;
+        let problem =
+            MultiTreeProblem::new(config.static_tree, u.max(two_v), v).map_err(DdcrError::Tree)?;
         problem.bound_cached()
     };
 
@@ -443,6 +622,79 @@ mod tests {
             per_class: vec![degenerate, finite.clone()],
         };
         assert_eq!(report.tightest().unwrap().class, finite.class);
+    }
+
+    fn wrap_class(bits: u64, deadline: u64, window: u64) -> MessageClass {
+        MessageClass {
+            id: ClassId(0),
+            name: "wrap".into(),
+            source: SourceId(0),
+            bits,
+            deadline: Ticks(deadline),
+            density: DensityBound::new(1, Ticks(window)).unwrap(),
+        }
+    }
+
+    #[test]
+    fn overflowing_transmission_term_is_a_typed_error() {
+        // l' = 2^63 on Ethernet and two arrivals in the window, so the
+        // transmission term is 2^64 ticks. Unchecked, it wrapped to 0 in a
+        // release build and the class looked feasible at 8704 ticks.
+        let medium = MediumConfig::ethernet();
+        let class = wrap_class((1 << 63) - medium.overhead_bits, 1 << 63, 1 << 62);
+        let set = MessageSet::new(4, vec![class.clone()]).unwrap();
+        let config = DdcrConfig::for_sources(4, Ticks(100_000)).unwrap();
+        let allocation = StaticAllocation::one_per_source(config.static_tree, 4).unwrap();
+        let err = evaluate(&set, &config, &allocation, &medium).unwrap_err();
+        assert!(matches!(err, DdcrError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("overflows u64"), "{err}");
+        assert_eq!(pair_terms(&class, &class, &medium).unwrap_err(), err);
+        // A deadline of 3·2^61 leaves one arrival in the window: 2^63 fits.
+        let fits = wrap_class((1 << 63) - medium.overhead_bits, 3 << 61, 1 << 62);
+        let terms = pair_terms(&fits, &fits, &medium).unwrap();
+        assert_eq!((terms.u, terms.transmission_ticks), (1, 1 << 63));
+        // The l' add itself is checked too.
+        let err = pair_terms(&wrap_class(u64::MAX, 1, 1), &wrap_class(1, 1, 1), &medium);
+        assert!(matches!(err, Err(DdcrError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn overflowing_v_products_are_typed_errors() {
+        // r(M) = 2^62 with ν = 1 gives v = 2^62 + 1, so q·v leaves u64
+        // once u(M) > 0 needs the P2 bound.
+        let medium = MediumConfig::ethernet();
+        let config = DdcrConfig::for_sources(4, Ticks(100_000)).unwrap();
+        let allocation = StaticAllocation::one_per_source(config.static_tree, 4).unwrap();
+        let class = wrap_class(8, 1 << 62, 1);
+        let sums = ClassSums {
+            r: (1 << 62) + 1,
+            u: 1,
+            transmission_ticks: 216,
+        };
+        let err = finish_class(&class, sums, &config, &allocation, &medium).unwrap_err();
+        assert!(err.to_string().contains("overflows u64"), "{err}");
+        // Without interference S1 vanishes and the same v is fine.
+        let quiet = ClassSums { u: 0, ..sums };
+        let c = finish_class(&class, quiet, &config, &allocation, &medium).unwrap();
+        assert_eq!(c.v, (1 << 62) + 1);
+    }
+
+    #[test]
+    fn sums_add_and_remove_pairwise() {
+        let medium = MediumConfig::ethernet();
+        let set = scenario::air_traffic_control(4).unwrap();
+        let classes = set.classes();
+        let target = &classes[0];
+        let mut sums = ClassSums::default();
+        for m in classes {
+            sums = sums.add_pair(target, m, &medium).unwrap();
+        }
+        for m in classes.iter().rev() {
+            sums = sums.remove_pair(target, m, &medium).unwrap();
+        }
+        assert_eq!(sums, ClassSums::default());
+        // Removing terms that were never added is refused.
+        assert!(sums.remove_pair(target, &classes[1], &medium).is_err());
     }
 
     #[test]

@@ -27,11 +27,38 @@
 //!   at the next epoch boundary; analytically the pre-reclaim bound is the
 //!   conservative one, so checking either side is sound.)
 //! * **Admission** evaluates the *candidate* message set — every admitted
-//!   flow plus the applicant — with [`feasibility::evaluate`]. The flow is
-//!   admitted iff every class of the candidate set stays feasible, so an
-//!   accepted applicant can never push an incumbent past its deadline. The
-//!   evaluation reuses the memoized P2 multi-tree bound cache, so repeated
-//!   admissions against a stable configuration stay cheap.
+//!   flow plus the applicant — and admits the flow iff every class of it
+//!   stays feasible, so an accepted applicant can never push an incumbent
+//!   past its deadline.
+//!
+//! ## Incremental admission
+//!
+//! A request costs O(classes), not the O(classes²) of a fresh
+//! [`feasibility::evaluate`], and produces the same bits:
+//!
+//! * `r(M)`, `u(M)` and the transmission term of `B_DDCR(s_i, M)` are
+//!   integer sums with one term per (target, interferer) pair
+//!   (`feasibility::pair_terms`). [`Membership`] keeps each admitted
+//!   class's three sums (`feasibility::ClassSums`). An admission adds the applicant's
+//!   terms to every incumbent and builds the applicant's own sums in the
+//!   same pass; a leave subtracts the dropped classes' terms from every
+//!   survivor; a join changes no sum (it grants only free leaves, and the
+//!   joiner has no classes yet). Integer addition is exact and
+//!   order-free, so the kept sums equal the full ones. Every step is
+//!   checked: the terms are non-negative, so a running sum overflows
+//!   exactly when the full sum does, and both paths refuse the same
+//!   requests with [`DdcrError::InvalidConfig`].
+//! * `feasibility::finish_class` then rebuilds each class's verdict from
+//!   those integers exactly as the full evaluation does: `v(M)`, `S1` from
+//!   the memoized P2 bound (`bound_cached`), `S2` in closed form, and the
+//!   bound. The report goes to the same decision rule, so a rejection
+//!   cites the same binding class and dominant term.
+//!
+//! [`Membership::admit_multichannel`] keeps the full per-channel
+//! evaluation (the channel assignment is rebalanced per request) and only
+//! updates the kept sums when it admits. [`Membership::check_invariants`]
+//! keeps the full evaluation too, and fails if the kept sums ever drift
+//! from it.
 //!
 //! [`Membership::force_admit`] is the operator override that skips the
 //! predicate; it is the one door through which the invariant can break, and
@@ -41,7 +68,7 @@
 
 use crate::config::DdcrConfig;
 use crate::error::DdcrError;
-use crate::feasibility::{self, ClassFeasibility, FeasibilityReport};
+use crate::feasibility::{self, ClassFeasibility, ClassSums, FeasibilityReport};
 use crate::indices::StaticAllocation;
 use ddcr_sim::{ClassId, MediumConfig, SourceId, Ticks};
 pub use ddcr_sim::MembershipChange;
@@ -108,6 +135,8 @@ pub struct Membership {
     allocation: StaticAllocation,
     present: Vec<bool>,
     admitted: Vec<MessageClass>,
+    /// `sums[k]`: the §4.3 sums of `admitted[k]` over the admitted set.
+    sums: Vec<ClassSums>,
     /// Leaves granted to each joiner (clamped to what the free pool holds).
     join_nu: u64,
     next_class: u32,
@@ -153,6 +182,7 @@ impl Membership {
             medium,
             present: vec![false; z as usize],
             admitted: Vec::new(),
+            sums: Vec::new(),
             join_nu,
             next_class: 0,
             violations: 0,
@@ -254,14 +284,27 @@ impl Membership {
                 station.0
             )));
         }
-        let leaves = self.allocation.reclaim(station)?;
-        let dropped_flows = self
+        // Every survivor loses the dropped classes' terms: O(classes ×
+        // dropped), computed before any state changes.
+        let dropped: Vec<&MessageClass> = self
             .admitted
             .iter()
             .filter(|c| c.source == station)
-            .map(|c| c.id)
             .collect();
+        let mut sums = Vec::with_capacity(self.sums.len() - dropped.len());
+        for (class, kept) in self.admitted.iter().zip(&self.sums) {
+            if class.source != station {
+                let mut kept = *kept;
+                for gone in &dropped {
+                    kept = kept.remove_pair(class, gone, &self.medium)?;
+                }
+                sums.push(kept);
+            }
+        }
+        let dropped_flows = dropped.iter().map(|c| c.id).collect();
+        let leaves = self.allocation.reclaim(station)?;
         self.admitted.retain(|c| c.source != station);
+        self.sums = sums;
         self.present[idx] = false;
         Ok(TransitionReceipt {
             station,
@@ -302,17 +345,39 @@ impl Membership {
         })
     }
 
-    /// Evaluates the candidate set (admitted flows + applicant) without
-    /// mutating anything.
+    fn finish(&self, class: &MessageClass, sums: ClassSums) -> Result<ClassFeasibility, DdcrError> {
+        feasibility::finish_class(class, sums, &self.config, &self.allocation, &self.medium)
+    }
+
+    /// Evaluates the candidate set (admitted flows + applicant, last)
+    /// from the kept sums without mutating anything: the report
+    /// [`feasibility::evaluate`] gives for that set, and the sums to keep
+    /// if the applicant goes in. Errors come in class order, as there.
     fn evaluate_candidate(
         &self,
         candidate: &MessageClass,
-    ) -> Result<FeasibilityReport, DdcrError> {
-        let mut classes = self.admitted.clone();
-        classes.push(candidate.clone());
-        let set = MessageSet::new(self.present.len() as u32, classes)
-            .map_err(|e| DdcrError::InvalidConfig(e.to_string()))?;
-        feasibility::evaluate(&set, &self.config, &self.allocation, &self.medium)
+    ) -> Result<(FeasibilityReport, Vec<ClassSums>), DdcrError> {
+        feasibility::check_shape(self.present.len() as u32, &self.config, &self.allocation)?;
+        let n = self.admitted.len() + 1;
+        let (mut per_class, mut next) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        // The applicant's own sums may only fail once its turn comes.
+        let mut own = Ok(ClassSums::default());
+        for (class, kept) in self.admitted.iter().zip(&self.sums) {
+            let sums = kept.add_pair(class, candidate, &self.medium)?;
+            per_class.push(self.finish(class, sums)?);
+            next.push(sums);
+            own = own.and_then(|own: ClassSums| own.add_pair(candidate, class, &self.medium));
+        }
+        let own = own?.add_pair(candidate, candidate, &self.medium)?;
+        per_class.push(self.finish(candidate, own)?);
+        next.push(own);
+        Ok((FeasibilityReport { per_class }, next))
+    }
+
+    fn push_admitted(&mut self, candidate: MessageClass, sums: Vec<ClassSums>) {
+        self.admitted.push(candidate);
+        self.sums = sums;
+        self.next_class += 1;
     }
 
     fn decide(
@@ -355,11 +420,10 @@ impl Membership {
     /// an error but an [`AdmissionDecision::Rejected`].
     pub fn admit(&mut self, flow: &FlowRequest) -> Result<AdmissionDecision, DdcrError> {
         let candidate = self.build_class(flow)?;
-        let report = self.evaluate_candidate(&candidate)?;
+        let (report, sums) = self.evaluate_candidate(&candidate)?;
         let decision = Self::decide(&candidate, &report);
         if matches!(decision, AdmissionDecision::Admitted { .. }) {
-            self.admitted.push(candidate);
-            self.next_class += 1;
+            self.push_admitted(candidate, sums);
         }
         Ok(decision)
     }
@@ -376,13 +440,12 @@ impl Membership {
     /// the override skips the feasibility predicate, not input validation.
     pub fn force_admit(&mut self, flow: &FlowRequest) -> Result<AdmissionDecision, DdcrError> {
         let candidate = self.build_class(flow)?;
-        let report = self.evaluate_candidate(&candidate)?;
+        let (report, sums) = self.evaluate_candidate(&candidate)?;
         let decision = Self::decide(&candidate, &report);
         if matches!(decision, AdmissionDecision::Rejected { .. }) {
             self.violations += 1;
         }
-        self.admitted.push(candidate);
-        self.next_class += 1;
+        self.push_admitted(candidate, sums);
         Ok(decision)
     }
 
@@ -394,6 +457,10 @@ impl Membership {
     /// infeasible on one shared medium may fit once interference is split —
     /// while still sound per channel. Also returns the per-channel ξ
     /// budgets ([`multibus::channel_budgets`]) for operator reporting.
+    ///
+    /// This path runs the full per-channel evaluation. An admitted flow
+    /// also goes into the kept single-medium sums, so a flow whose sums
+    /// leave `u64` on the one medium is refused here too.
     ///
     /// # Errors
     ///
@@ -455,8 +522,8 @@ impl Membership {
             }
         };
         if matches!(decision, AdmissionDecision::Admitted { .. }) {
-            self.admitted.push(candidate);
-            self.next_class += 1;
+            let (_, sums) = self.evaluate_candidate(&candidate)?;
+            self.push_admitted(candidate, sums);
         }
         Ok((decision, budgets))
     }
@@ -472,7 +539,8 @@ impl Membership {
             .map_err(|e| DdcrError::InvalidConfig(e.to_string()))
     }
 
-    /// Re-evaluates the whole admitted set against the current partition.
+    /// Re-evaluates the whole admitted set against the current partition
+    /// with [`feasibility::evaluate`]: O(classes²).
     ///
     /// # Errors
     ///
@@ -482,9 +550,27 @@ impl Membership {
         feasibility::evaluate(&set, &self.config, &self.allocation, &self.medium)
     }
 
+    /// The admitted set's report rebuilt from the kept sums: O(classes),
+    /// and equal to [`Membership::evaluate`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation failures ([`DdcrError::InvalidConfig`]).
+    pub fn report(&self) -> Result<FeasibilityReport, DdcrError> {
+        feasibility::check_shape(self.present.len() as u32, &self.config, &self.allocation)?;
+        let per_class = self
+            .admitted
+            .iter()
+            .zip(&self.sums)
+            .map(|(class, sums)| self.finish(class, *sums))
+            .collect::<Result<_, _>>()?;
+        Ok(FeasibilityReport { per_class })
+    }
+
     /// Checks the membership invariants: every admitted flow's source is a
-    /// present member with at least one leaf, and — unless an operator
-    /// override already broke it — the admitted set is feasible.
+    /// present member with at least one leaf, the kept sums agree with a
+    /// full [`feasibility::evaluate`], and — unless an operator override
+    /// already broke it — the admitted set is feasible.
     ///
     /// # Errors
     ///
@@ -505,9 +591,14 @@ impl Membership {
                 )));
             }
         }
-        if self.violations == 0 && !self.admitted.is_empty() {
+        if !self.admitted.is_empty() {
             let report = self.evaluate()?;
-            if !report.feasible() {
+            if self.report()? != report {
+                return Err(DdcrError::InvalidConfig(
+                    "kept B_DDCR sums drifted from the full evaluation".into(),
+                ));
+            }
+            if self.violations == 0 && !report.feasible() {
                 return Err(DdcrError::InvalidConfig(
                     "admitted set became infeasible without an operator \
                      override — admission invariant broken"

@@ -126,6 +126,12 @@ impl MediumConfig {
         bits + self.overhead_bits
     }
 
+    /// [`MediumConfig::wire_bits`], or `None` when `l'` leaves `u64` (the
+    /// admission predicate takes flow sizes from untrusted requests).
+    pub fn checked_wire_bits(&self, bits: u64) -> Option<u64> {
+        bits.checked_add(self.overhead_bits)
+    }
+
     /// Resolves the frames submitted in one decision slot into the
     /// observation every station hears and the channel time it consumes.
     ///
@@ -204,6 +210,9 @@ mod tests {
     fn wire_bits_adds_overhead() {
         let cfg = MediumConfig::ethernet();
         assert_eq!(cfg.wire_bits(1000), 1208);
+        assert_eq!(cfg.checked_wire_bits(1000), Some(1208));
+        assert_eq!(cfg.checked_wire_bits(u64::MAX - 208), Some(u64::MAX));
+        assert_eq!(cfg.checked_wire_bits(u64::MAX - 207), None);
     }
 
     #[test]
