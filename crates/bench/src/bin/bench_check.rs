@@ -14,7 +14,8 @@
 //! stations, or lacks its crash-faulted point, an assembly section whose
 //! per-station build-plus-drop cost at 2048 stations exceeds 3x the cost
 //! at 256, an admission section whose per-class request cost at 1024
-//! admitted flows exceeds 3x the cost at 128, divergent fast/reference
+//! admitted flows exceeds 3x the cost at 128, a fault-plan section that
+//! is missing or malformed (it has no floor), divergent fast/reference
 //! statistics, incomplete drains, a multichannel section that diverged
 //! across worker counts, missed deadlines, lost its pinned capacity win,
 //! or — on hosts with >= 4 cores — scaled below the 2x floor, and a
@@ -108,6 +109,20 @@ fn main() {
                 Some(per_class(entries.last()?)? / per_class(entries.first()?)?)
             })
             .unwrap_or(f64::NAN);
+        // Crash-plan cost per draw at the largest population, and the
+        // scan instance that produced it (informational).
+        let (plan_ns_per_draw, plan_kernel) = doc
+            .get("fault_plan")
+            .and_then(Json::as_array)
+            .and_then(|entries| entries.last())
+            .map_or((f64::NAN, "?"), |e| {
+                (
+                    e.get("ns_per_draw")
+                        .and_then(Json::as_f64)
+                        .unwrap_or(f64::NAN),
+                    e.get("kernel").and_then(Json::as_str).unwrap_or("?"),
+                )
+            });
         let multichannel = doc.get("multichannel");
         let multichannel_speedup = multichannel
             .and_then(|m| m.get("speedup"))
@@ -133,6 +148,7 @@ fn main() {
              active set {scale_speedup:.1}x at {scale_stations:.0} stations, \
              assembly growth {assembly_growth:.2}x per station, \
              admission growth {admission_growth:.2}x per class, \
+             fault plan {plan_ns_per_draw:.2} ns/draw ({plan_kernel}), \
              multichannel {multichannel_speedup:.1}x on {host:.0} cores, \
              federation {federation_speedup:.1}x with {handoffs:.0} handoffs)"
         );

@@ -67,6 +67,18 @@ fn main() {
             assembly.ns_per_station(),
         );
     }
+    for plan in &report.fault_plan {
+        eprintln!(
+            "bench_engine: fault plan z={} over {} slots: {:.2} ms, {} events \
+             ({:.3} ns/draw, {})",
+            plan.stations,
+            plan.slots,
+            plan.wall_ns as f64 / 1e6,
+            plan.events,
+            plan.ns_per_draw(),
+            plan.kernel,
+        );
+    }
     for admission in &report.admission {
         eprintln!(
             "bench_engine: admission at {} flows: {:.1} us/request ({:.0} ns/class)",

@@ -89,7 +89,10 @@ use std::time::Instant;
 /// Version 8 added the `admission` array (one `Membership::admit` request
 /// at two admitted-set sizes, gated on per-class growth ≤
 /// [`MAX_ADMISSION_GROWTH`]×).
-pub const SCHEMA_VERSION: u64 = 8;
+/// Version 9 added the `fault_plan` array (seeded crash-plan generation at
+/// the `sparse-crash` shape, with the scan instance the host ran):
+/// informational, checked for presence and shape only.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// Default report location (relative to the workspace root, like
 /// `results/`).
@@ -171,6 +174,24 @@ pub const ADMISSION_SAMPLES: usize = 31;
 
 /// Attachment points of the admission measurement (as `serve-churn`).
 const ADMISSION_STATIONS: u32 = 64;
+
+/// Station counts of the fault-plan measurement: the `sparse-crash`
+/// benchmark workload's population, and four times it.
+pub const FAULT_PLAN_GRID: [u32; 2] = [256, 1024];
+
+/// Plan horizon of the fault-plan measurement, in slots: `sparse-crash`'s
+/// (the first half of a 40 ms arrival horizon in 512-tick slots).
+pub const FAULT_PLAN_SLOTS: u64 = 39_062;
+
+/// Per station-slot crash rate of the fault-plan measurement
+/// (`sparse-crash`'s `--crash`).
+const FAULT_PLAN_CRASH: f64 = 2e-6;
+
+/// Timing repeats per fault-plan point (minimum taken).
+const FAULT_PLAN_REPEATS: usize = 5;
+
+/// The crash-scan instances a `fault_plan` entry may name.
+const FAULT_PLAN_KERNELS: [&str; 3] = ["avx512", "avx2", "portable"];
 
 /// How much work the suite does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -612,6 +633,34 @@ impl AdmissionResult {
     }
 }
 
+/// Result of one fault-plan measurement: `FaultPlan::generate` over
+/// [`FAULT_PLAN_SLOTS`] slots for `stations` stations.
+#[derive(Debug, Clone)]
+pub struct FaultPlanResult {
+    /// Stations planned for.
+    pub stations: u32,
+    /// Plan horizon, in slots.
+    pub slots: u64,
+    /// Events in the plan.
+    pub events: u64,
+    /// Generation wall time (min over repeats), nanoseconds.
+    pub wall_ns: u64,
+    /// The crash-scan instance that ran (`FaultPlan::kernel`).
+    pub kernel: &'static str,
+}
+
+impl FaultPlanResult {
+    /// Crash draws the plan stands for: one per (slot, station).
+    pub fn draws(&self) -> u64 {
+        self.slots * u64::from(self.stations)
+    }
+
+    /// Generation cost per draw, nanoseconds.
+    pub fn ns_per_draw(&self) -> f64 {
+        self.wall_ns as f64 / self.draws().max(1) as f64
+    }
+}
+
 /// Result of the EDF queue measurement.
 #[derive(Debug, Clone)]
 pub struct QueueResult {
@@ -640,6 +689,8 @@ pub struct BenchReport {
     pub assembly: Vec<AssemblyResult>,
     /// Admission request cost across admitted-set sizes.
     pub admission: Vec<AdmissionResult>,
+    /// Seeded crash-plan generation cost across populations.
+    pub fault_plan: Vec<FaultPlanResult>,
     /// Multichannel scaling and capacity measurement.
     pub multichannel: MultichannelResult,
     /// Federated-segment scaling measurement.
@@ -1158,6 +1209,33 @@ pub fn measure_admission() -> Vec<AdmissionResult> {
         .collect()
 }
 
+/// Measures `FaultPlan::generate` at the `sparse-crash` plan shape for each
+/// [`FAULT_PLAN_GRID`] population (seed 1, crash rate 2e-6, down 64).
+/// Informational: the scan instance, and so the cost, depends on the
+/// host's vector extensions.
+pub fn measure_fault_plan() -> Vec<FaultPlanResult> {
+    let rates = FaultRates {
+        crash: FAULT_PLAN_CRASH,
+        down_slots: 64,
+        ..FaultRates::default()
+    };
+    FAULT_PLAN_GRID
+        .into_iter()
+        .map(|stations| {
+            let (events, wall_ns) = min_wall(FAULT_PLAN_REPEATS, || {
+                FaultPlan::generate(1, stations, FAULT_PLAN_SLOTS, &rates).len() as u64
+            });
+            FaultPlanResult {
+                stations,
+                slots: FAULT_PLAN_SLOTS,
+                events,
+                wall_ns,
+                kernel: FaultPlan::kernel(),
+            }
+        })
+        .collect()
+}
+
 /// Measures multichannel scaling on the saturated 4-channel workload from
 /// experiment E15: a 32-participant videoconference on gigabit Ethernet —
 /// infeasible on one channel, provably feasible split over four. The same
@@ -1379,6 +1457,7 @@ pub fn run_suite(profile: Profile) -> BenchReport {
         station_scale: measure_station_scale(profile),
         assembly: measure_assembly(),
         admission: measure_admission(),
+        fault_plan: measure_fault_plan(),
         multichannel: measure_multichannel(profile),
         federation: measure_federation(profile),
         queue: measure_queue(profile),
@@ -1561,6 +1640,25 @@ impl BenchReport {
                                 ("median_ns", Json::from(a.median_ns)),
                                 ("us_per_request", Json::from(a.us_per_request())),
                                 ("ns_per_class", Json::from(a.ns_per_class())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "fault_plan",
+                Json::Array(
+                    self.fault_plan
+                        .iter()
+                        .map(|f| {
+                            Json::object([
+                                ("stations", Json::from(u64::from(f.stations))),
+                                ("slots", Json::from(f.slots)),
+                                ("draws", Json::from(f.draws())),
+                                ("events", Json::from(f.events)),
+                                ("wall_ns", Json::from(f.wall_ns)),
+                                ("ns_per_draw", Json::from(f.ns_per_draw())),
+                                ("kernel", Json::from(f.kernel)),
                             ])
                         })
                         .collect(),
@@ -1917,6 +2015,40 @@ pub fn check_report(doc: &Json) -> Vec<String> {
         }
     }
 
+    // Informational: no floor, since the scan instance (and so the cost)
+    // follows the host's vector extensions. Only presence and shape.
+    match doc.get("fault_plan").and_then(Json::as_array) {
+        None => fail("missing fault_plan".into()),
+        Some(entries) => {
+            for stations in FAULT_PLAN_GRID {
+                let Some(entry) = entries.iter().find(|e| {
+                    e.get("stations").and_then(Json::as_f64) == Some(f64::from(stations))
+                }) else {
+                    fail(format!("fault_plan needs an entry at {stations} stations"));
+                    continue;
+                };
+                for key in ["slots", "draws", "wall_ns", "ns_per_draw"] {
+                    match entry.get(key).and_then(Json::as_f64) {
+                        Some(v) if v > 0.0 => {}
+                        other => fail(format!(
+                            "fault_plan.{key} at {stations} stations must be > 0, got {other:?}"
+                        )),
+                    }
+                }
+                if entry.get("events").and_then(Json::as_f64).is_none() {
+                    fail(format!("fault_plan.events missing at {stations} stations"));
+                }
+                match entry.get("kernel").and_then(Json::as_str) {
+                    Some(k) if FAULT_PLAN_KERNELS.contains(&k) => {}
+                    other => fail(format!(
+                        "fault_plan.kernel at {stations} stations must be one of \
+                         {FAULT_PLAN_KERNELS:?}, got {other:?}"
+                    )),
+                }
+            }
+        }
+    }
+
     match doc.get("multichannel") {
         None => fail("missing multichannel".into()),
         Some(section) => {
@@ -2165,6 +2297,16 @@ mod tests {
                     median_ns: 110_000,
                 },
             ],
+            fault_plan: FAULT_PLAN_GRID
+                .into_iter()
+                .map(|stations| FaultPlanResult {
+                    stations,
+                    slots: FAULT_PLAN_SLOTS,
+                    events: 16,
+                    wall_ns: 4_800_000,
+                    kernel: "avx512",
+                })
+                .collect(),
             multichannel: MultichannelResult {
                 channels: 4,
                 participants: 32,
@@ -2238,7 +2380,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
-        let doc = Json::parse(r#"{"schema_version": 8}"#).unwrap();
+        let doc = Json::parse(r#"{"schema_version": 9}"#).unwrap();
         let violations = check_report(&doc);
         for needle in [
             "profile",
@@ -2249,6 +2391,7 @@ mod tests {
             "station_scale",
             "assembly",
             "admission",
+            "fault_plan",
             "multichannel",
             "federation",
             "edf_queue",
@@ -2541,6 +2684,59 @@ mod tests {
         assert!(check_report(&doc)
             .iter()
             .any(|v| v.contains("missing admission")));
+    }
+
+    fn edit_fault_plan(doc: &mut Json, stations: f64, key: &str, value: Json) {
+        if let Json::Object(map) = doc {
+            if let Some(Json::Array(entries)) = map.get_mut("fault_plan") {
+                for entry in entries {
+                    if entry.get("stations").and_then(Json::as_f64) == Some(stations) {
+                        if let Json::Object(entry) = entry {
+                            entry.insert(key.into(), value.clone());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fault_plan_has_no_floor() {
+        // A host without vector extensions is slow, not failing.
+        let mut doc = passing_report();
+        edit_fault_plan(&mut doc, 1024.0, "wall_ns", Json::Number(9e12));
+        edit_fault_plan(&mut doc, 1024.0, "kernel", Json::from("portable"));
+        assert_eq!(check_report(&doc), Vec::<String>::new());
+    }
+
+    #[test]
+    fn fault_plan_shape_is_checked() {
+        let mut doc = passing_report();
+        edit_fault_plan(&mut doc, 256.0, "kernel", Json::from("sse9"));
+        edit_fault_plan(&mut doc, 1024.0, "ns_per_draw", Json::Number(0.0));
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("fault_plan.kernel at 256")),
+            "{violations:?}"
+        );
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("fault_plan.ns_per_draw at 1024")),
+            "{violations:?}"
+        );
+        edit_fault_plan(&mut doc, 256.0, "stations", Json::Number(255.0));
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("fault_plan needs an entry at 256 stations")));
+        if let Json::Object(map) = &mut doc {
+            map.remove("fault_plan");
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("missing fault_plan")));
     }
 
     #[test]

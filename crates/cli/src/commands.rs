@@ -124,6 +124,76 @@ COMMANDS
     .to_owned()
 }
 
+/// `ms` milliseconds of flag `--{flag}` in ticks.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] when the product leaves the u64 tick clock
+/// (a release build would otherwise wrap it into a short run).
+fn ticks_from_ms(flag: &str, ms: u64) -> Result<Ticks, ArgError> {
+    ms.checked_mul(1_000_000).map(Ticks).ok_or_else(|| {
+        ArgError(format!(
+            "flag --{flag}: {ms} ms overflows the tick clock (at most {} ms)",
+            u64::MAX / 1_000_000
+        ))
+    })
+}
+
+/// The arrival horizon, `--horizon-ms` (default 10), in ticks.
+fn horizon_from(args: &Args) -> Result<Ticks, ArgError> {
+    ticks_from_ms("horizon-ms", args.get_or("horizon-ms", 10)?)
+}
+
+/// The fault-plan horizon in decision slots: every slot is at least
+/// `slot_ticks` wide, so this over-covers the arrival horizon; doubled for
+/// the drain tail.
+fn fault_horizon_slots(horizon: Ticks, medium: &MediumConfig) -> Result<u64, ArgError> {
+    let ticks = horizon.as_u64().checked_mul(2).ok_or_else(|| {
+        ArgError(format!(
+            "flag --horizon-ms: twice {} ms (the fault-plan horizon) overflows the tick clock",
+            horizon.as_u64() / 1_000_000
+        ))
+    })?;
+    Ok(ticks / medium.slot_ticks.max(1))
+}
+
+/// The fault flags `--corrupt`, `--erase`, `--crash` and `--down` over
+/// `defaults`, each rate checked to be a probability.
+fn fault_rates_from(args: &Args, defaults: FaultRates) -> Result<FaultRates, ArgError> {
+    let rates = FaultRates {
+        corrupt: args.get_or("corrupt", defaults.corrupt)?,
+        erase: args.get_or("erase", defaults.erase)?,
+        crash: args.get_or("crash", defaults.crash)?,
+        down_slots: args.get_or("down", defaults.down_slots)?,
+    };
+    rates
+        .validate()
+        .map_err(|e| ArgError(format!("flag --{}: {e}", e.lane)))?;
+    Ok(rates)
+}
+
+/// The fault plan `ddcr run` installs when any fault flag is given: the
+/// rates (unset rates 0, `--down` 64) and the plan horizon in slots.
+fn run_faults_from(
+    args: &Args,
+    horizon: Ticks,
+    medium: &MediumConfig,
+) -> Result<Option<(FaultRates, u64)>, ArgError> {
+    if ["corrupt", "erase", "crash", "down"]
+        .iter()
+        .all(|f| args.get(f).is_none())
+    {
+        return Ok(None);
+    }
+    let defaults = FaultRates {
+        down_slots: 64,
+        ..FaultRates::default()
+    };
+    let rates = fault_rates_from(args, defaults)?;
+    let horizon_slots = fault_horizon_slots(horizon, medium)?;
+    Ok(Some((rates, horizon_slots)))
+}
+
 fn shape_from(args: &Args) -> Result<TreeShape, ArgError> {
     let m: u64 = args.require_typed("m")?;
     let n: u32 = args.require_typed("n")?;
@@ -339,10 +409,10 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let n = schedule.len();
     let budget = Ticks(1_000_000_000_000);
@@ -428,14 +498,14 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let master_seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
     let jobs: Option<usize> = match args.get("jobs") {
         None => None,
         Some(_) => Some(args.require_typed("jobs").map_err(|e| e.to_string())?),
     };
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let kinds = [
         ProtocolKind::Ddcr(default_ddcr_config(&set, &medium)),
@@ -545,14 +615,15 @@ fn cmd_run(args: &Args) -> Result<String, String> {
         return Err("--channels must be at least 1".into());
     }
     let jobs: usize = args.get_or("jobs", channels).map_err(|e| e.to_string())?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
+    let faults = run_faults_from(args, horizon, &medium).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
     let assignment = multibus::balance_by_load(&set, channels);
     let budgets = multibus::channel_budgets(&set, &assignment, &config, &allocation, &medium)
         .map_err(|e| e.to_string())?;
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let n = schedule.len();
 
@@ -560,25 +631,11 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     options.workers = jobs;
     options.metrics = true;
     options.trace = args.get("trace-out").is_some();
-    let faulted = ["corrupt", "erase", "crash", "down"]
-        .iter()
-        .any(|f| args.get(f).is_some());
-    if faulted {
-        let rates = FaultRates {
-            corrupt: args.get_or("corrupt", 0.0).map_err(|e| e.to_string())?,
-            erase: args.get_or("erase", 0.0).map_err(|e| e.to_string())?,
-            crash: args.get_or("crash", 0.0).map_err(|e| e.to_string())?,
-            down_slots: args.get_or("down", 64).map_err(|e| e.to_string())?,
-        };
-        // Same slot-horizon rule as `ddcr faults`: over-cover the arrival
-        // horizon, doubled for the drain tail.
-        let horizon_slots = 2 * horizon_ms * 1_000_000 / medium.slot_ticks.max(1);
-        options.faults = Some(multibus::FaultSpec {
-            master_seed: seed,
-            rates,
-            horizon_slots,
-        });
-    }
+    options.faults = faults.map(|(rates, horizon_slots)| multibus::FaultSpec {
+        master_seed: seed,
+        rates,
+        horizon_slots,
+    });
     let report = multibus::run_channels(
         &set,
         schedule,
@@ -691,44 +748,31 @@ fn cmd_run_segments(args: &Args) -> Result<String, String> {
         return Err("--segments must be at least 1".into());
     }
     let jobs: usize = args.get_or("jobs", segments).map_err(|e| e.to_string())?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let epoch_ms: u64 = args.get_or("epoch-ms", 1).map_err(|e| e.to_string())?;
     if epoch_ms == 0 {
         return Err("--epoch-ms must be at least 1".into());
     }
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
+    let faults = run_faults_from(args, horizon, &medium).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
     let assignment = multibus::balance_by_load(&set, segments);
     let routes = federate::transit_routes(&set, &assignment, 4);
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let n = schedule.len();
 
-    let mut options =
-        FederationOptions::new(Ticks(epoch_ms * 1_000_000), Ticks(1_000_000_000_000));
+    let epoch = ticks_from_ms("epoch-ms", epoch_ms).map_err(|e| e.to_string())?;
+    let mut options = FederationOptions::new(epoch, Ticks(1_000_000_000_000));
     options.workers = jobs;
     options.metrics = true;
     options.trace = args.get("trace-out").is_some();
-    let faulted = ["corrupt", "erase", "crash", "down"]
-        .iter()
-        .any(|f| args.get(f).is_some());
-    if faulted {
-        let rates = FaultRates {
-            corrupt: args.get_or("corrupt", 0.0).map_err(|e| e.to_string())?,
-            erase: args.get_or("erase", 0.0).map_err(|e| e.to_string())?,
-            crash: args.get_or("crash", 0.0).map_err(|e| e.to_string())?,
-            down_slots: args.get_or("down", 64).map_err(|e| e.to_string())?,
-        };
-        // Same slot-horizon rule as the multichannel path: over-cover the
-        // arrival horizon, doubled for the drain tail.
-        let horizon_slots = 2 * horizon_ms * 1_000_000 / medium.slot_ticks.max(1);
-        options.faults = Some(FederationFaultSpec {
-            master_seed: seed,
-            rates,
-            horizon_slots,
-        });
-    }
+    options.faults = faults.map(|(rates, horizon_slots)| FederationFaultSpec {
+        master_seed: seed,
+        rates,
+        horizon_slots,
+    });
     let report = federate::run_segments(
         &set,
         schedule,
@@ -937,23 +981,24 @@ fn cmd_faults(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
-    let rates = FaultRates {
-        corrupt: args.get_or("corrupt", 0.005).map_err(|e| e.to_string())?,
-        erase: args.get_or("erase", 0.005).map_err(|e| e.to_string())?,
-        crash: args.get_or("crash", 0.0005).map_err(|e| e.to_string())?,
-        down_slots: args.get_or("down", 64).map_err(|e| e.to_string())?,
-    };
+    let rates = fault_rates_from(
+        args,
+        FaultRates {
+            corrupt: 0.005,
+            erase: 0.005,
+            crash: 0.0005,
+            down_slots: 64,
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    let horizon_slots = fault_horizon_slots(horizon, &medium).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let n = schedule.len();
-    // Plan horizon in decision slots: every slot is at least `slot_ticks`
-    // wide, so this over-covers the arrival horizon; doubled for the
-    // drain tail.
-    let horizon_slots = 2 * horizon_ms * 1_000_000 / medium.slot_ticks.max(1);
     let plan = FaultPlan::generate(seed, set.sources(), horizon_slots, &rates);
     let injected = plan.len();
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
@@ -1029,14 +1074,14 @@ fn cmd_metrics(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     // How many per-delivery records to keep in memory; counters and the
     // latency histogram are exact regardless, so 0 gives a constant-memory
     // run with full observability.
     let retain: usize = args.get_or("retain", 0).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let n = schedule.len();
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
@@ -1135,7 +1180,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let horizon_ms: u64 = args.get_or("horizon-ms", 10).map_err(|e| e.to_string())?;
+    let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let out_path = args.require("out").map_err(|e| e.to_string())?;
     let stepper = args.get("stepper").unwrap_or("fast");
     let fast_forward = match stepper {
@@ -1170,7 +1215,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     };
     let (config, allocation) = setup(&set, &medium)?;
     let schedule = ScheduleBuilder::peak_load(&set)
-        .build(Ticks(horizon_ms * 1_000_000))
+        .build(horizon)
         .map_err(|e| e.to_string())?;
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
         .map_err(|e| e.to_string())?;
@@ -1860,5 +1905,56 @@ mod tests {
         assert!(run_line(&["xi", "--m", "4", "--n", "3", "--q", "9"]).is_err());
         assert!(run_line(&["simulate", "--scenario", "uniform", "--sources", "2", "--protocol", "nope"]).is_err());
         assert!(run_line(&["feasibility", "--scenario", "weird", "--sources", "2"]).is_err());
+    }
+
+    #[test]
+    fn millisecond_flags_convert_with_overflow_checks() {
+        let max_ms = u64::MAX / 1_000_000;
+        assert_eq!(ticks_from_ms("horizon-ms", 10), Ok(Ticks(10_000_000)));
+        assert_eq!(
+            ticks_from_ms("horizon-ms", max_ms),
+            Ok(Ticks(max_ms * 1_000_000))
+        );
+        let err = ticks_from_ms("epoch-ms", max_ms + 1).unwrap_err();
+        assert!(
+            err.0.contains("--epoch-ms") && err.0.contains("overflows"),
+            "{err}"
+        );
+        // The fault-plan horizon doubles the arrival horizon: a horizon that
+        // fits once but not twice is an error (checked here on the helper,
+        // since the commands refuse it before building any schedule).
+        let medium = MediumConfig::ethernet();
+        assert_eq!(
+            fault_horizon_slots(Ticks(10_000_000), &medium),
+            Ok(20_000_000 / medium.slot_ticks)
+        );
+        let err = fault_horizon_slots(Ticks(max_ms * 1_000_000), &medium).unwrap_err();
+        assert!(err.0.contains("fault-plan horizon"), "{err}");
+    }
+
+    #[test]
+    fn fault_flags_are_validated_in_one_place() {
+        let parse = |line: &[&str]| Args::parse(line.iter().copied()).unwrap();
+        let defaults = FaultRates {
+            down_slots: 64,
+            ..FaultRates::default()
+        };
+        let rates = fault_rates_from(&parse(&["run", "--crash", "2e-6"]), defaults).unwrap();
+        assert_eq!(rates.crash, 2e-6);
+        assert_eq!(rates.down_slots, 64);
+        for (flag, value) in [
+            ("--corrupt", "NaN"),
+            ("--erase", "-0.5"),
+            ("--crash", "1.5"),
+        ] {
+            let err = fault_rates_from(&parse(&["run", flag, value]), defaults).unwrap_err();
+            assert!(err.0.starts_with(&format!("flag {flag}:")), "{err}");
+        }
+        // No fault flag, no plan.
+        let args = parse(&["run"]);
+        assert_eq!(
+            run_faults_from(&args, Ticks(1_000_000), &MediumConfig::ethernet()),
+            Ok(None)
+        );
     }
 }

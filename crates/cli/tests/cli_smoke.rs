@@ -131,3 +131,95 @@ fn feasibility_pipeline_works_end_to_end() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("FEASIBLE"));
 }
+
+// A fault rate must be a probability: NaN, negative, infinite or > 1
+// values used to run silently (NaN and -1 as "no crashes", 1.5 as "always
+// crash"); now each exits non-zero naming the flag, in every command that
+// takes fault flags.
+#[test]
+fn fault_rates_outside_zero_one_are_rejected() {
+    let base = [
+        "--scenario",
+        "uniform",
+        "--sources",
+        "4",
+        "--horizon-ms",
+        "1",
+    ];
+    for command in [&["faults"][..], &["run"], &["run", "--segments", "2"]] {
+        for flag in ["--corrupt", "--erase", "--crash"] {
+            for value in ["NaN", "-1", "1.5", "inf"] {
+                let mut line: Vec<&str> = command.to_vec();
+                line.extend(base);
+                line.extend([flag, value]);
+                let out = ddcr(&line);
+                assert!(!out.status.success(), "{line:?} must fail");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    stderr.contains(flag) && stderr.contains("probability in [0, 1]"),
+                    "{line:?}: {stderr}"
+                );
+            }
+        }
+    }
+}
+
+// `--horizon-ms` times 10⁶ ticks must fit in u64. Release builds used to
+// wrap it into a short run ("over 1751 slots"), debug builds panicked.
+#[test]
+fn horizon_overflow_is_an_error_in_every_command() {
+    let over = "18446744073710";
+    let lines: [&[&str]; 8] = [
+        &["simulate", "--protocol", "ddcr"],
+        &["sweep"],
+        &["run"],
+        &["run", "--segments", "2"],
+        &["faults"],
+        &["faults", "--crash", "0.001"],
+        &["metrics"],
+        &["trace", "--out", "/dev/null"],
+    ];
+    for command in lines {
+        let mut line: Vec<&str> = command.to_vec();
+        line.extend([
+            "--scenario",
+            "uniform",
+            "--sources",
+            "4",
+            "--horizon-ms",
+            over,
+        ]);
+        let out = ddcr(&line);
+        assert!(!out.status.success(), "{line:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--horizon-ms") && stderr.contains("overflows the tick clock"),
+            "{line:?}: {stderr}"
+        );
+    }
+}
+
+// The fault replay line CI runs, pinned byte for byte: the plan behind it
+// is the seeded generator's, so any drift in the draws shows up here.
+#[test]
+fn seeded_fault_run_output_is_pinned() {
+    let out = ddcr(&[
+        "faults",
+        "--scenario",
+        "uniform",
+        "--sources",
+        "8",
+        "--seed",
+        "7",
+        "--crash",
+        "0.002",
+    ]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "seed 7: injected 1027 fault events over 39062 slots\n\
+         scheduled 376, delivered 313, lost to crashes 63\n\
+         corrupted slots 84, erased frames 0, crashes 226, restarts 223\n\
+         misses 0, max latency 78619 ticks, utilization 0.260\n"
+    );
+}

@@ -49,7 +49,7 @@ mod trace;
 
 pub use channel::{Action, CollisionMode, MediumConfig, Observation};
 pub use engine::{Engine, SimError};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, SlotFaults};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRateError, FaultRates, SlotFaults};
 pub use membership::{MembershipChange, MembershipEvent, MembershipPlan};
 pub use message::{ClassId, Delivery, EpochStamp, Frame, Message, MessageId, SourceId};
 pub use metrics::{

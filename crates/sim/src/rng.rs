@@ -27,8 +27,18 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 /// Derives a distinct child seed from a parent seed and an index, so
 /// per-station or per-class streams never collide (SplitMix64 finaliser).
 pub fn derive_seed(parent: u64, index: u64) -> u64 {
-    let mut z = parent
-        .wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index.wrapping_add(1)));
+    mix(parent.wrapping_add(GAMMA.wrapping_mul(index.wrapping_add(1))))
+}
+
+/// SplitMix64's Weyl increment: draw `i` of a lane mixes
+/// `lane + GAMMA·(i + 1)`.
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finaliser. Always inlined, so the vectorized fault
+/// scans (see [`crate::fault`]) compile it under their own target
+/// features.
+#[inline(always)]
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
