@@ -11,7 +11,9 @@
 //! 0.5 or 0.8 on >= 32 stations, a contention fast-forward section that
 //! diverged or whose tier never engaged, a station-scale section that
 //! diverged, failed to complete, scaled below the 5x floor at >= 2048
-//! stations, or lacks its crash-faulted point, an assembly section whose
+//! stations, let its metered (metrics-on) run diverge or run slower than
+//! 1.25x the unmetered run at >= 2048 stations, or lacks its
+//! crash-faulted point, an assembly section whose
 //! per-station build-plus-drop cost at 2048 stations exceeds 3x the cost
 //! at 256, an admission section whose per-class request cost at 1024
 //! admitted flows exceeds 3x the cost at 128, a fault-plan section that
@@ -79,15 +81,13 @@ fn main() {
             .and_then(Json::as_f64)
             .unwrap_or(f64::NAN);
         // Headline the largest station-scale grid point.
-        let (scale_stations, scale_speedup) = doc
+        let (scale_stations, scale_speedup, scale_metered) = doc
             .get("station_scale")
             .and_then(Json::as_array)
             .and_then(|entries| entries.last())
-            .map_or((f64::NAN, f64::NAN), |e| {
-                (
-                    e.get("stations").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                    e.get("speedup").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                )
+            .map_or((f64::NAN, f64::NAN, f64::NAN), |e| {
+                let field = |key| e.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+                (field("stations"), field("speedup"), field("metered_ratio"))
             });
         // Per-station assembly cost, largest over smallest population.
         let assembly_growth = doc
@@ -145,7 +145,8 @@ fn main() {
             "bench_check: PASS ({path}; idle fast-forward {idle_speedup:.1}x, \
              loaded fast-forward {loaded_speedup:.1}x @0.5 / {high_load_speedup:.1}x @0.8, \
              contention tier {contention_speedup:.1}x, \
-             active set {scale_speedup:.1}x at {scale_stations:.0} stations, \
+             active set {scale_speedup:.1}x at {scale_stations:.0} stations \
+             (metered {scale_metered:.2}x), \
              assembly growth {assembly_growth:.2}x per station, \
              admission growth {admission_growth:.2}x per class, \
              fault plan {plan_ns_per_draw:.2} ns/draw ({plan_kernel}), \

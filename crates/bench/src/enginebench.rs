@@ -61,7 +61,8 @@ use ddcr_core::{
     StaticAllocation,
 };
 use ddcr_sim::{
-    ChannelStats, ClassId, FaultPlan, FaultRates, MediumConfig, Message, MessageId, SourceId, Ticks,
+    ChannelStats, ClassId, FaultPlan, FaultRates, MediumConfig, Message, MessageId, SimMetrics,
+    SourceId, Ticks,
 };
 use ddcr_traffic::{scenario, MessageSet, ScheduleBuilder};
 use std::time::Instant;
@@ -92,7 +93,12 @@ use std::time::Instant;
 /// Version 9 added the `fault_plan` array (seeded crash-plan generation at
 /// the `sparse-crash` shape, with the scan instance the host ran):
 /// informational, checked for presence and shape only.
-pub const SCHEMA_VERSION: u64 = 9;
+/// Version 10 added the metered run to every `station_scale` entry
+/// (`metered_wall_ns`, `metered_ratio`, `metered_equivalent`): the
+/// active-set run again with metrics on, as `ddcr run` meters, gated on
+/// equivalence everywhere and on a ratio ≤ [`MAX_METERED_RATIO`] at n ≥
+/// [`STATION_SCALE_GATED_AT`].
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Default report location (relative to the workspace root, like
 /// `results/`).
@@ -140,6 +146,18 @@ pub const MIN_STATION_SCALE_SPEEDUP: f64 = 5.0;
 /// binds. Below it the speedup is informational: the O(n) cost the tier
 /// removes is too small to dominate wall clock at modest populations.
 pub const STATION_SCALE_GATED_AT: u64 = 2048;
+
+/// Gate threshold: at every station-scale point with at least
+/// [`STATION_SCALE_GATED_AT`] stations, the metered run (metrics on,
+/// active set on) may take at most this multiple of the unmetered
+/// active-set run's wall time. Metrics ride the active set — one synced
+/// witness attributes every slot — so metering must not bring the
+/// all-stations loops back.
+pub const MAX_METERED_RATIO: f64 = 1.25;
+
+/// Alternating (unmetered, metered) active-set run pairs per
+/// station-scale point; each side reports its fastest.
+const METERED_PAIRS: usize = 5;
 
 /// Population of the crash-faulted station-scale point.
 pub const FAULTED_STATION_SCALE_AT: u32 = 1024;
@@ -469,7 +487,7 @@ pub struct StationScaleResult {
     pub messages: u64,
     /// Decision slots the run resolves (identical in both runs).
     pub slots: u64,
-    /// Active-set-on wall time (min over repeats), nanoseconds.
+    /// Active-set-on wall time (min over the metered pairs), nanoseconds.
     pub active_wall_ns: u64,
     /// Active-set-off wall time (min over repeats), nanoseconds.
     pub baseline_wall_ns: u64,
@@ -486,12 +504,24 @@ pub struct StationScaleResult {
     pub faulted: bool,
     /// Station crashes the active-set run processed (0 unless faulted).
     pub crashes: u64,
+    /// Metered (metrics on, active set on) wall time (min over the
+    /// metered pairs), nanoseconds.
+    pub metered_wall_ns: u64,
+    /// Whether the metered run matched: statistics and `poll()` count equal
+    /// to the unmetered active-set run's, and metrics equal to those of a
+    /// metered active-set-off run.
+    pub metered_equivalent: bool,
 }
 
 impl StationScaleResult {
     /// Active-set-off-over-on wall-clock ratio.
     pub fn speedup(&self) -> f64 {
         self.baseline_wall_ns as f64 / self.active_wall_ns.max(1) as f64
+    }
+
+    /// Metered-over-unmetered wall-clock ratio of the active-set run.
+    pub fn metered_ratio(&self) -> f64 {
+        self.metered_wall_ns as f64 / self.active_wall_ns.max(1) as f64
     }
 
     /// Fraction of station-slots the active-set run actually polled.
@@ -1028,17 +1058,32 @@ pub fn station_scale_workload(stations: u32, rounds: u64) -> (MessageSet, Vec<Me
     (set, schedule)
 }
 
+/// What one station-scale run left behind.
+pub struct StationScaleRun {
+    /// Final channel statistics.
+    pub stats: ChannelStats,
+    /// Whether the workload drained inside the budget.
+    pub completed: bool,
+    /// `poll()` calls issued.
+    pub polls: u64,
+    /// Decision slots resolved.
+    pub slots: u64,
+    /// The run's metrics, when metered.
+    pub metrics: Option<SimMetrics>,
+}
+
 /// One station-scale run: non-bursting DDCR over `schedule` under
-/// `faults` with both fast-forward tiers on and the active-set scheduler
-/// toggled. Returns the final statistics, completion, `poll()` count, and
-/// decision slots resolved.
+/// `faults` with both fast-forward tiers on, the active-set scheduler
+/// toggled, and — when `metered` — metrics and the live ξ checks on, as
+/// `ddcr run` sets them.
 pub fn run_station_scale(
     set: &MessageSet,
     schedule: &[Message],
     medium: MediumConfig,
     faults: &FaultPlan,
     active_set: bool,
-) -> (ChannelStats, bool, u64, u64) {
+    metered: bool,
+) -> StationScaleRun {
     let config = default_ddcr_config(set, &medium);
     let allocation = StaticAllocation::round_robin(config.static_tree, set.sources())
         .expect("round robin allocation");
@@ -1048,11 +1093,19 @@ pub fn run_station_scale(
     engine.set_contention_fast_forward(true);
     engine.set_active_set(active_set);
     engine.set_fault_plan(faults.clone());
+    if metered {
+        let (time, static_) = network::xi_bound_tables(&config).expect("xi bound tables");
+        engine.set_xi_bounds(time, static_);
+    }
     engine.add_arrivals(schedule.to_vec()).expect("arrivals route");
     let completed = engine.run_to_completion(Ticks(40_000_000_000)).is_ok();
-    let polls = engine.poll_count();
-    let slots = engine.slot_ordinal();
-    (engine.into_stats(), completed, polls, slots)
+    StationScaleRun {
+        completed,
+        polls: engine.poll_count(),
+        slots: engine.slot_ordinal(),
+        metrics: engine.take_metrics(),
+        stats: engine.into_stats(),
+    }
 }
 
 /// The seeded crash plan of the faulted station-scale point: crashes only
@@ -1075,7 +1128,9 @@ fn station_scale_faults(stations: u32, schedule: &[Message], medium: MediumConfi
 }
 
 /// One station-scale point: the sparse workload at `stations`, under the
-/// seeded crash plan when `faulted`, active-set on vs off.
+/// seeded crash plan when `faulted`, active-set on vs off, and the
+/// active-set run again metered (its metrics checked against one
+/// untimed metered active-set-off run).
 fn measure_station_scale_point(
     profile: Profile,
     stations: u32,
@@ -1088,26 +1143,41 @@ fn measure_station_scale_point(
     } else {
         FaultPlan::none()
     };
-    let ((active_stats, active_completed, polls, slots), active_wall_ns) =
-        min_wall(profile.repeats(), || {
-            run_station_scale(&set, &schedule, medium, &faults, true)
-        });
-    let ((baseline_stats, baseline_completed, _, _), baseline_wall_ns) =
-        min_wall(profile.repeats(), || {
-            run_station_scale(&set, &schedule, medium, &faults, false)
-        });
+    let run = |active_set: bool, metered: bool| {
+        run_station_scale(&set, &schedule, medium, &faults, active_set, metered)
+    };
+    // The metered ratio is gated near 1, so the active-set run and its
+    // metered twin alternate, each keeping its fastest of
+    // `METERED_PAIRS`: host noise hits both alike.
+    let (mut active_wall_ns, mut metered_wall_ns) = (u64::MAX, u64::MAX);
+    let mut runs = None;
+    for _ in 0..METERED_PAIRS {
+        let (active, active_ns) = time(|| run(true, false));
+        let (metered, metered_ns) = time(|| run(true, true));
+        active_wall_ns = active_wall_ns.min(active_ns);
+        metered_wall_ns = metered_wall_ns.min(metered_ns);
+        runs = Some((active, metered));
+    }
+    let (active, metered) = runs.expect("METERED_PAIRS is positive");
+    let (baseline, baseline_wall_ns) = min_wall(profile.repeats(), || run(false, false));
+    let reference_metrics = run(false, true).metrics;
     StationScaleResult {
         stations,
         messages: schedule.len() as u64,
-        slots,
+        slots: active.slots,
         active_wall_ns,
         baseline_wall_ns,
-        equivalent: active_stats == baseline_stats,
-        completed: active_completed && baseline_completed,
-        polls,
-        station_slots: slots * u64::from(stations),
+        equivalent: active.stats == baseline.stats,
+        completed: active.completed && baseline.completed && metered.completed,
+        polls: active.polls,
+        station_slots: active.slots * u64::from(stations),
         faulted,
-        crashes: active_stats.crashes,
+        crashes: active.stats.crashes,
+        metered_wall_ns,
+        metered_equivalent: metered.stats == active.stats
+            && metered.polls == active.polls
+            && metered.metrics.is_some()
+            && metered.metrics == reference_metrics,
     }
 }
 
@@ -1609,6 +1679,9 @@ impl BenchReport {
                                 ("poll_fraction", Json::from(s.poll_fraction())),
                                 ("faulted", Json::from(s.faulted)),
                                 ("crashes", Json::from(s.crashes)),
+                                ("metered_wall_ns", Json::from(s.metered_wall_ns)),
+                                ("metered_ratio", Json::from(s.metered_ratio())),
+                                ("metered_equivalent", Json::from(s.metered_equivalent)),
                             ])
                         })
                         .collect(),
@@ -1920,7 +1993,10 @@ pub fn check_report(doc: &Json) -> Vec<String> {
                 if entry.get("completed").and_then(Json::as_bool) != Some(true) {
                     fail(format!("station_scale[{i}] did not complete"));
                 }
-                for key in ["slots", "active_wall_ns", "baseline_wall_ns"] {
+                if entry.get("metered_equivalent").and_then(Json::as_bool) != Some(true) {
+                    fail(format!("station_scale[{i}].metered_equivalent must be true"));
+                }
+                for key in ["slots", "active_wall_ns", "baseline_wall_ns", "metered_wall_ns"] {
                     match entry.get(key).and_then(Json::as_f64) {
                         Some(v) if v > 0.0 => {}
                         other => fail(format!(
@@ -1938,6 +2014,14 @@ pub fn check_report(doc: &Json) -> Vec<String> {
                              {MIN_STATION_SCALE_SPEEDUP} (z={stations})"
                         )),
                         None => fail(format!("missing station_scale[{i}].speedup")),
+                    }
+                    match entry.get("metered_ratio").and_then(Json::as_f64) {
+                        Some(r) if r <= MAX_METERED_RATIO => {}
+                        Some(r) => fail(format!(
+                            "station_scale[{i}].metered_ratio {r:.2} above gate \
+                             {MAX_METERED_RATIO} (z={stations})"
+                        )),
+                        None => fail(format!("missing station_scale[{i}].metered_ratio")),
                     }
                 }
             }
@@ -2245,6 +2329,8 @@ mod tests {
                     station_slots: 128_000,
                     faulted: false,
                     crashes: 0,
+                    metered_wall_ns: 11_000,
+                    metered_equivalent: true,
                 },
                 StationScaleResult {
                     stations: 1_024,
@@ -2258,6 +2344,8 @@ mod tests {
                     station_slots: 40_960_000,
                     faulted: true,
                     crashes: 40,
+                    metered_wall_ns: 8_800,
+                    metered_equivalent: true,
                 },
                 StationScaleResult {
                     stations: 2_048,
@@ -2271,6 +2359,8 @@ mod tests {
                     station_slots: 122_880_000,
                     faulted: false,
                     crashes: 0,
+                    metered_wall_ns: 11_000,
+                    metered_equivalent: true,
                 },
             ],
             assembly: vec![
@@ -2380,7 +2470,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
-        let doc = Json::parse(r#"{"schema_version": 9}"#).unwrap();
+        let doc = Json::parse(r#"{"schema_version": 10}"#).unwrap();
         let violations = check_report(&doc);
         for needle in [
             "profile",
@@ -2512,6 +2602,53 @@ mod tests {
                 .any(|v| v.contains("station_scale") && v.contains("below gate")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn slow_metered_station_scale_point_fails_gate() {
+        let mut doc = passing_report();
+        if let Json::Object(map) = &mut doc {
+            if let Some(Json::Array(entries)) = map.get_mut("station_scale") {
+                if let Some(Json::Object(entry)) = entries.last_mut() {
+                    entry.insert("metered_ratio".into(), Json::Number(1.3));
+                }
+            }
+        }
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("station_scale[2].metered_ratio") && v.contains("above gate")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn ungated_metered_ratio_is_informational() {
+        let mut doc = passing_report();
+        if let Json::Object(map) = &mut doc {
+            if let Some(Json::Array(entries)) = map.get_mut("station_scale") {
+                if let Some(Json::Object(entry)) = entries.first_mut() {
+                    entry.insert("metered_ratio".into(), Json::Number(2.0));
+                }
+            }
+        }
+        assert_eq!(check_report(&doc), Vec::<String>::new());
+    }
+
+    #[test]
+    fn divergent_metered_station_scale_run_fails_gate() {
+        let mut doc = passing_report();
+        if let Json::Object(map) = &mut doc {
+            if let Some(Json::Array(entries)) = map.get_mut("station_scale") {
+                if let Some(Json::Object(entry)) = entries.first_mut() {
+                    entry.insert("metered_equivalent".into(), Json::Bool(false));
+                }
+            }
+        }
+        assert!(check_report(&doc)
+            .iter()
+            .any(|v| v.contains("station_scale[0].metered_equivalent")));
     }
 
     #[test]

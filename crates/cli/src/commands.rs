@@ -6,8 +6,8 @@ use ddcr_baseline::QueueDiscipline;
 use ddcr_core::{dimensioning, feasibility, federate, multibus, network, DdcrConfig, StaticAllocation};
 use ddcr_sim::federation::{FederationFaultSpec, FederationOptions};
 use ddcr_sim::{
-    CollisionMode, Engine, FaultPlan, FaultRates, JsonlSink, MediumConfig, SimMetrics, SourceId,
-    Ticks,
+    CollisionMode, Engine, FaultPlan, FaultRates, JsonlSink, MediumConfig, Message, SimMetrics,
+    SourceId, Ticks,
 };
 use ddcr_traffic::{scenario, MessageSet, ScheduleBuilder};
 use ddcr_tree::{asymptotic, closed_form, witness, TreeShape};
@@ -142,6 +142,33 @@ fn ticks_from_ms(flag: &str, ms: u64) -> Result<Ticks, ArgError> {
 /// The arrival horizon, `--horizon-ms` (default 10), in ticks.
 fn horizon_from(args: &Args) -> Result<Ticks, ArgError> {
     ticks_from_ms("horizon-ms", args.get_or("horizon-ms", 10)?)
+}
+
+/// The most messages a peak-load schedule may hold. The schedule is built
+/// whole before the first slot, at about 56 bytes a message while it is
+/// generated and sorted, so this caps it near 0.5 GB.
+const MAX_SCHEDULE_MESSAGES: u64 = 10_000_000;
+
+/// `ScheduleBuilder::peak_load(set).build(horizon)`, refused before
+/// anything is allocated when it would hold more than
+/// [`MAX_SCHEDULE_MESSAGES`]: under peak load a class of density `a/w`
+/// sends exactly `a·⌈horizon / w⌉` messages.
+fn peak_schedule(set: &MessageSet, horizon: Ticks) -> Result<Vec<Message>, String> {
+    let messages = set.classes().iter().fold(0u128, |sum, class| {
+        let windows = horizon.as_u64().div_ceil(class.density.w.as_u64().max(1));
+        sum.saturating_add(u128::from(class.density.a) * u128::from(windows))
+    });
+    if messages > u128::from(MAX_SCHEDULE_MESSAGES) {
+        return Err(ArgError(format!(
+            "flag --horizon-ms: a peak-load schedule over {} ms holds {messages} messages, \
+             above the limit of {MAX_SCHEDULE_MESSAGES}",
+            horizon.as_u64() / 1_000_000
+        ))
+        .to_string());
+    }
+    ScheduleBuilder::peak_load(set)
+        .build(horizon)
+        .map_err(|e| e.to_string())
 }
 
 /// The fault-plan horizon in decision slots: every slot is at least
@@ -411,9 +438,7 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let medium = medium_from(args)?;
     let horizon = horizon_from(args).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
     let budget = Ticks(1_000_000_000_000);
     let stats = match args.require("protocol").map_err(|e| e.to_string())? {
@@ -504,9 +529,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
         None => None,
         Some(_) => Some(args.require_typed("jobs").map_err(|e| e.to_string())?),
     };
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let kinds = [
         ProtocolKind::Ddcr(default_ddcr_config(&set, &medium)),
         ProtocolKind::CsmaCd(QueueDiscipline::Fifo, 0),
@@ -622,9 +645,7 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     let assignment = multibus::balance_by_load(&set, channels);
     let budgets = multibus::channel_budgets(&set, &assignment, &config, &allocation, &medium)
         .map_err(|e| e.to_string())?;
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
 
     let mut options = multibus::RunOptions::new(Ticks(1_000_000_000_000));
@@ -758,9 +779,7 @@ fn cmd_run_segments(args: &Args) -> Result<String, String> {
     let (config, allocation) = setup(&set, &medium)?;
     let assignment = multibus::balance_by_load(&set, segments);
     let routes = federate::transit_routes(&set, &assignment, 4);
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
 
     let epoch = ticks_from_ms("epoch-ms", epoch_ms).map_err(|e| e.to_string())?;
@@ -995,9 +1014,7 @@ fn cmd_faults(args: &Args) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     let horizon_slots = fault_horizon_slots(horizon, &medium).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
     let plan = FaultPlan::generate(seed, set.sources(), horizon_slots, &rates);
     let injected = plan.len();
@@ -1080,9 +1097,7 @@ fn cmd_metrics(args: &Args) -> Result<String, String> {
     // run with full observability.
     let retain: usize = args.get_or("retain", 0).map_err(|e| e.to_string())?;
     let (config, allocation) = setup(&set, &medium)?;
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
         .map_err(|e| e.to_string())?;
@@ -1214,9 +1229,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
         other => return Err(format!("unknown active-set `{other}` (on|off)")),
     };
     let (config, allocation) = setup(&set, &medium)?;
-    let schedule = ScheduleBuilder::peak_load(&set)
-        .build(horizon)
-        .map_err(|e| e.to_string())?;
+    let schedule = peak_schedule(&set, horizon)?;
     let mut engine = network::build_engine(&set, &config, &allocation, medium)
         .map_err(|e| e.to_string())?;
     engine.set_fast_forward(fast_forward);

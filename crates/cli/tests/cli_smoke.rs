@@ -223,3 +223,67 @@ fn seeded_fault_run_output_is_pinned() {
          misses 0, max latency 78619 ticks, utilization 0.260\n"
     );
 }
+
+// A horizon whose ticks (and doubled fault-plan ticks) fit in u64 but whose
+// peak-load schedule would not fit in memory is refused up front, from the
+// message set's densities, before any schedule is built.
+#[test]
+fn oversized_schedule_is_refused_in_every_command() {
+    let huge = "9000000000000";
+    let lines: [&[&str]; 8] = [
+        &["simulate", "--protocol", "ddcr"],
+        &["sweep"],
+        &["run"],
+        &["run", "--segments", "2"],
+        &["faults"],
+        &["faults", "--crash", "0.001"],
+        &["metrics"],
+        &["trace", "--out", "/dev/null"],
+    ];
+    for command in lines {
+        let mut line: Vec<&str> = command.to_vec();
+        line.extend([
+            "--scenario",
+            "uniform",
+            "--sources",
+            "4",
+            "--horizon-ms",
+            huge,
+        ]);
+        let out = ddcr(&line);
+        assert!(!out.status.success(), "{line:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--horizon-ms")
+                && stderr.contains("peak-load schedule")
+                && stderr.contains("above the limit of 10000000"),
+            "{line:?}: {stderr}"
+        );
+    }
+}
+
+// A down time that outlasts the run keeps a crashed station down: the
+// restart ordinal saturates instead of wrapping to a slot in the past,
+// so no station restarts and none is crashed twice.
+#[test]
+fn down_time_beyond_the_clock_keeps_stations_down() {
+    let out = ddcr(&[
+        "faults",
+        "--scenario",
+        "uniform",
+        "--sources",
+        "4",
+        "--crash",
+        "0.01",
+        "--down",
+        "18446744073709551615",
+        "--horizon-ms",
+        "1",
+    ]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("crashes 4, restarts 0"),
+        "every station crashes once and stays down: {stdout}"
+    );
+}

@@ -95,6 +95,11 @@ struct StationHot {
     /// replayed yet — its next-wake position in the deferred channel
     /// history.
     cursor: Vec<u64>,
+    /// Whether compaction lifted the parked station's cursor past entries
+    /// it never replayed, up to the wake anchor's epoch entry: such a
+    /// station can only wake through the anchor (see
+    /// `Engine::compact_catchup`).
+    lifted: Vec<bool>,
 }
 
 impl StationHot {
@@ -116,7 +121,8 @@ impl StationHot {
 /// dropped on fault/membership transitions. A station that parked before
 /// the checkpoint's epoch boundary wakes by rebasing onto the boundary and
 /// replaying only the log tail from it — `O(final epoch)` instead of
-/// `O(dormant span)`.
+/// `O(dormant span)`. Since nothing before the boundary is ever replayed
+/// on that path, compaction also trims the catch-up log to the boundary.
 struct WakeAnchor {
     /// Channel time of the epoch boundary the checkpoint rebuilds at.
     epoch_start: Ticks,
@@ -125,6 +131,22 @@ struct WakeAnchor {
     at: u64,
     /// The opaque protocol checkpoint.
     checkpoint: Box<dyn std::any::Any + Send>,
+}
+
+impl WakeAnchor {
+    /// Where the anchor enters `log`, whose front entry has absolute index
+    /// `base`: its epoch entry as [`entry_at`] finds it, and the log
+    /// position the checkpoint is exact at. `None` when the capture point
+    /// has left the log or the entry does not lie before it.
+    fn entry(
+        &self,
+        log: &[ChannelSpan],
+        base: u64,
+    ) -> Option<((usize, Option<ChannelSpan>), usize)> {
+        let k = self.at.checked_sub(base)? as usize;
+        let entry = entry_at(log, self.epoch_start)?;
+        (entry.0 + usize::from(entry.1.is_some()) <= k).then_some((entry, k))
+    }
 }
 
 /// Where the contiguous `spans` are entered at the epoch boundary `epoch`:
@@ -143,6 +165,22 @@ fn entry_at(spans: &[ChannelSpan], epoch: Ticks) -> Option<(usize, Option<Channe
     // Past the last span: an empty tail (a gap in the log is defensive).
     (t == spans.len()).then_some((t, None))
 }
+
+/// How many decision slots a catch-up log entry holds in memory: a
+/// contention run stores one record per slot, every other span is one
+/// fixed-size entry however many slots it covers.
+fn held_slots(span: &ChannelSpan) -> u64 {
+    match span {
+        ChannelSpan::Search { slots, .. } => slots.len() as u64,
+        _ => 1,
+    }
+}
+
+/// The catch-up log's minimum compaction watermarks: log entries, and
+/// slots held (see [`held_slots`]). Each doubles past what a compaction
+/// leaves behind, so compaction stays amortised O(1) per append.
+const CATCHUP_MIN_ENTRIES: usize = 64;
+const CATCHUP_MIN_SLOTS: u64 = 1024;
 
 /// The epoch-anchored catch-up of parked wakes and of the quiet stations of
 /// a contention run: rebases `station` onto `checkpoint`'s epoch boundary,
@@ -214,14 +252,31 @@ pub struct Engine {
     parked_count: usize,
     /// The shared catch-up log of deferred channel operations; one entry
     /// serves every parked station, each tracking its own replay cursor.
+    /// Bounded by the wake anchor's epoch, not by the run: compaction drops
+    /// the prefix before the anchor's epoch entry, lifting older cursors to
+    /// it (see [`Engine::compact_catchup`]), so a station that never wakes
+    /// does not pin the log.
     catchup: Vec<ChannelSpan>,
     /// Absolute index of `catchup`'s front entry: compaction drops
     /// replayed prefixes without renumbering cursors.
     catchup_base: u64,
-    /// Compaction trigger: when the log outgrows this, drop the prefix
-    /// every parked station has replayed and double the watermark
-    /// (amortised O(1) per append).
+    /// Entry compaction trigger: when the log reaches this many entries,
+    /// compact and double the watermark past what is left.
     catchup_watermark: usize,
+    /// Decision slots the log holds (the sum of [`held_slots`]).
+    catchup_slots: u64,
+    /// Held-slot compaction trigger, doubled like `catchup_watermark`.
+    catchup_slot_watermark: u64,
+    /// The most slots the log has held at once (see
+    /// [`Engine::catchup_peak_slots`]).
+    catchup_peak_slots: u64,
+    /// Count of parked stations whose cursor compaction lifted
+    /// (`hot.lifted` trues).
+    lifted_count: usize,
+    /// The highest absolute log index a cursor was lifted to: a
+    /// replacement wake anchor must enter the log at or after it, or the
+    /// lifted stations could not wake through it.
+    lift_floor: u64,
     /// Active-set scheduling (on by default): dormant stations are parked
     /// out of the per-slot loops and caught up in batches on wake.
     /// Independently switchable from the other tiers for bisection.
@@ -299,7 +354,12 @@ impl Engine {
             parked_count: 0,
             catchup: Vec::new(),
             catchup_base: 0,
-            catchup_watermark: 64,
+            catchup_watermark: CATCHUP_MIN_ENTRIES,
+            catchup_slots: 0,
+            catchup_slot_watermark: CATCHUP_MIN_SLOTS,
+            catchup_peak_slots: 0,
+            lifted_count: 0,
+            lift_floor: 0,
             active_set: true,
             polls: 0,
             replays: 0,
@@ -324,6 +384,7 @@ impl Engine {
         self.hot.down.push(None);
         self.hot.parked.push(false);
         self.hot.cursor.push(0);
+        self.hot.lifted.push(false);
         self.backlog_stale = true;
         self
     }
@@ -399,12 +460,16 @@ impl Engine {
     /// Enables streaming metrics (phase accounting, per-station counters).
     /// Idempotent; call after attaching stations or before — the per-station
     /// table grows on demand.
+    ///
+    /// Metrics ride the active set: every slot is attributed from the
+    /// first live *active* station that answers [`Station::phase_hint`],
+    /// and the scheduler never parks the first such station (the witness,
+    /// see [`Engine::set_active_set`]). Synced replicas run the same
+    /// automaton, so the witness's answer is the one every synced station
+    /// would give, and the run takes exactly the code path it takes with
+    /// metrics off.
     pub fn enable_metrics(&mut self) -> &mut Self {
         if self.metrics.is_none() {
-            // Dormancy is suspended under metrics (see
-            // [`Engine::set_active_set`]); catch any already-parked
-            // station up first.
-            self.wake_all();
             self.metrics = Some(SimMetrics::new(self.stations.len()));
         }
         self
@@ -492,23 +557,23 @@ impl Engine {
     /// active set — and receive their deferred observations in one batch
     /// on their next wake (a delivery, a fault or membership transition,
     /// or a channel event that could break the promise). Statistics,
-    /// traces and delivery schedules are bitwise identical to the full
-    /// loops. Dormancy is suspended while metrics are enabled (per-slot
-    /// phase attribution needs every synced station live), so enabling
-    /// metrics is equivalent to switching the scheduler off.
+    /// traces, delivery schedules and metrics are bitwise identical to the
+    /// full loops.
+    ///
+    /// One synced station always stays active as the witness: the first
+    /// live active station that answers [`Station::phase_hint`] is never
+    /// parked, whether metrics are on or off, so metered and unmetered
+    /// runs take the same path and every slot has a live replica to
+    /// attribute it. Parked stations share one catch-up log, trimmed at
+    /// each compaction to the wake anchor's epoch entry: a station that
+    /// parked before it wakes by rebasing onto that epoch, so the log holds
+    /// about one epoch of history, not the whole dormant span.
     pub fn set_active_set(&mut self, enabled: bool) -> &mut Self {
         if !enabled {
             self.wake_all();
         }
         self.active_set = enabled;
         self
-    }
-
-    /// Whether stations may currently be parked: the scheduler is on and
-    /// metrics are off (a dormant station's stale `phase_hint` must never
-    /// be consulted for slot attribution).
-    fn active_set_enabled(&self) -> bool {
-        self.active_set && self.metrics.is_none()
     }
 
     /// Schedules a batch of future arrivals.
@@ -635,6 +700,15 @@ impl Engine {
         self.replays
     }
 
+    /// The most decision slots the catch-up log has held at once (a
+    /// contention-run entry holds one record per slot, any other entry
+    /// counts 1). Compaction trims the log to the wake anchor's epoch, so
+    /// this stays near one epoch plus the compaction watermark however
+    /// long a station stays parked.
+    pub fn catchup_peak_slots(&self) -> u64 {
+        self.catchup_peak_slots
+    }
+
     /// Appends one deferred channel operation to the catch-up log — a
     /// no-op while nothing is parked, so the log costs nothing when the
     /// scheduler is off or every station is active.
@@ -642,15 +716,24 @@ impl Engine {
         if self.parked_count == 0 {
             return;
         }
+        self.catchup_slots += held_slots(&entry);
+        self.catchup_peak_slots = self.catchup_peak_slots.max(self.catchup_slots);
         self.catchup.push(entry);
-        if self.catchup.len() >= self.catchup_watermark {
+        if self.catchup.len() >= self.catchup_watermark
+            || self.catchup_slots >= self.catchup_slot_watermark
+        {
             self.compact_catchup();
-            self.catchup_watermark = (self.catchup.len() * 2).max(64);
+            self.catchup_watermark = (self.catchup.len() * 2).max(CATCHUP_MIN_ENTRIES);
+            self.catchup_slot_watermark = (self.catchup_slots * 2).max(CATCHUP_MIN_SLOTS);
         }
     }
 
-    /// Drops the catch-up prefix every parked station has already
-    /// replayed.
+    /// Drops the catch-up prefix no parked station will replay: everything
+    /// before the lowest parked cursor, or before the wake anchor's epoch
+    /// entry if that lies further on. A parked station whose cursor is
+    /// older than that entry wakes through [`rebase_catch_up`], which never
+    /// reads the log before it, so its cursor is lifted there and marked
+    /// (a lifted station must wake while the anchor still serves it).
     fn compact_catchup(&mut self) {
         let min_cursor = self
             .hot
@@ -661,9 +744,29 @@ impl Engine {
             .map(|(&cursor, _)| cursor)
             .min()
             .unwrap_or(self.catchup_base + self.catchup.len() as u64);
-        let dropped = (min_cursor - self.catchup_base) as usize;
+        let trim = self
+            .anchor
+            .as_ref()
+            .and_then(|anchor| anchor.entry(&self.catchup, self.catchup_base))
+            .map_or(min_cursor, |((first, _), _)| {
+                (self.catchup_base + first as u64).max(min_cursor)
+            });
+        if trim > min_cursor {
+            for idx in 0..self.stations.len() {
+                if self.hot.parked[idx] && self.hot.cursor[idx] < trim {
+                    self.hot.cursor[idx] = trim;
+                    if !std::mem::replace(&mut self.hot.lifted[idx], true) {
+                        self.lifted_count += 1;
+                    }
+                }
+            }
+            self.lift_floor = trim;
+        }
+        let dropped = (trim - self.catchup_base) as usize;
+        let freed: u64 = self.catchup[..dropped].iter().map(held_slots).sum();
+        self.catchup_slots -= freed;
         self.catchup.drain(..dropped);
-        self.catchup_base = min_cursor;
+        self.catchup_base = trim;
     }
 
     /// Replays, in channel order, every deferred operation the parked
@@ -676,14 +779,14 @@ impl Engine {
         let start = (self.hot.cursor[idx] - self.catchup_base) as usize;
         let len = self.catchup.len();
         self.hot.cursor[idx] = self.catchup_base + len as u64;
-        if start == len {
+        let lifted = std::mem::take(&mut self.hot.lifted[idx]);
+        self.lifted_count -= usize::from(lifted);
+        if start == len && !lifted {
             return;
         }
         let anchored = self.anchor.as_ref().and_then(|anchor| {
-            let k = anchor.at.checked_sub(self.catchup_base)? as usize;
-            let entry = entry_at(&self.catchup, anchor.epoch_start)?;
-            let valid = start <= entry.0 && entry.0 + usize::from(entry.1.is_some()) <= k;
-            valid.then_some((anchor.checkpoint.as_ref(), entry, k))
+            let (entry, k) = anchor.entry(&self.catchup, self.catchup_base)?;
+            (start <= entry.0).then_some((anchor.checkpoint.as_ref(), entry, k))
         });
         let station = self.stations[idx].as_mut();
         let (first, resume) = match anchored {
@@ -692,7 +795,12 @@ impl Engine {
             {
                 (entry.0, k)
             }
-            _ => (start, start),
+            _ => {
+                // The entries before a lifted cursor are gone: only the
+                // anchor can rebuild what the station missed there.
+                debug_assert!(!lifted, "lifted station {idx} refused its wake anchor");
+                (start, start)
+            }
         };
         for span in &self.catchup[resume..] {
             station.catch_up(span);
@@ -704,21 +812,37 @@ impl Engine {
     /// `idx`, if it publishes one (see [`Station::resync_checkpoint`]).
     ///
     /// Recapture is throttled: a still-current anchor less than
-    /// [`ANCHOR_REFRESH_ENTRIES`] log entries behind the head is kept
-    /// as-is. Anchors only pay off for stations dormant across many log
-    /// entries — a slightly stale anchor merely lengthens the short
-    /// post-adopt tail replay — while capturing one costs a heap
-    /// allocation plus a counter snapshot, which is pure overhead in
-    /// wake-heavy workloads where parks last a handful of slots.
+    /// `ANCHOR_REFRESH_ENTRIES` log entries and `ANCHOR_REFRESH_SLOTS`
+    /// held slots behind the head is kept as-is. Anchors only pay off for
+    /// stations dormant across many log entries — a slightly stale anchor
+    /// merely lengthens the short post-adopt tail replay — while capturing
+    /// one costs a heap allocation plus a counter snapshot, which is pure
+    /// overhead in wake-heavy workloads where parks last a handful of
+    /// slots. The slot limit keeps a few long contention runs from holding
+    /// the anchor — and with it the log trim point — back.
     fn capture_anchor(&mut self, idx: usize) {
         const ANCHOR_REFRESH_ENTRIES: u64 = 32;
+        const ANCHOR_REFRESH_SLOTS: u64 = CATCHUP_MIN_SLOTS / 4;
         let head = self.catchup_base + self.catchup.len() as u64;
         if let Some(anchor) = &self.anchor {
             if anchor.at >= self.catchup_base && head - anchor.at < ANCHOR_REFRESH_ENTRIES {
-                return;
+                let since = (anchor.at - self.catchup_base) as usize;
+                let behind: u64 = self.catchup[since..].iter().map(held_slots).sum();
+                if behind < ANCHOR_REFRESH_SLOTS {
+                    return;
+                }
             }
         }
         if let Some((epoch_start, checkpoint)) = self.stations[idx].resync_checkpoint() {
+            // Lifted stations can only wake through an anchor whose epoch
+            // entry lies at or after their cursors; keep the old anchor
+            // rather than strand them.
+            if self.lifted_count > 0
+                && entry_at(&self.catchup, epoch_start)
+                    .is_none_or(|(first, _)| self.catchup_base + (first as u64) < self.lift_floor)
+            {
+                return;
+            }
             self.anchor = Some(WakeAnchor {
                 epoch_start,
                 at: self.catchup_base + self.catchup.len() as u64,
@@ -741,6 +865,7 @@ impl Engine {
         if self.parked_count == 0 {
             self.catchup_base += self.catchup.len() as u64;
             self.catchup.clear();
+            self.catchup_slots = 0;
         }
         // The freshly woken station is caught up to the log head: refresh
         // the wake anchor so later wakes rebase onto its current epoch.
@@ -759,6 +884,19 @@ impl Engine {
         }
     }
 
+    /// Wakes every parked station whose cursor compaction lifted — before
+    /// anything drops the wake anchor they depend on.
+    fn wake_lifted(&mut self) {
+        if self.lifted_count == 0 {
+            return;
+        }
+        for idx in 0..self.stations.len() {
+            if self.hot.lifted[idx] {
+                self.wake_station(idx);
+            }
+        }
+    }
+
     /// Wakes every parked station so direct inspection (e.g.
     /// [`Engine::station`] in tests) sees fully caught-up protocol state.
     /// Called automatically when [`Engine::run_until`] and
@@ -768,19 +906,27 @@ impl Engine {
     }
 
     /// Parks every active station whose [`Station::wake_hint`] promises
-    /// dormancy. Down stations never park (their fencing already keeps
-    /// them out of every loop, and crash/restart bookkeeping must see
-    /// them); an empty local queue is a hard engine-side precondition on
-    /// top of the station's own promise.
+    /// dormancy, except the witness: the first live active station that
+    /// answers [`Station::phase_hint`] stays active, so a synced replica
+    /// is always live to attribute slots and veto runs (see
+    /// [`Engine::set_active_set`]). Down stations never park (their
+    /// fencing already keeps them out of every loop, and crash/restart
+    /// bookkeeping must see them); an empty local queue is a hard
+    /// engine-side precondition on top of the station's own promise.
     fn park_dormant(&mut self) {
-        if !self.active_set_enabled() {
+        if !self.active_set {
             return;
         }
+        let mut witness = false;
         let mut first_parked = None;
         let mut k = 0;
         while k < self.active.len() {
             let idx = self.active[k];
-            if self.hot.down[idx].is_none()
+            let live = self.hot.down[idx].is_none();
+            if live && !witness && self.stations[idx].phase_hint().is_some() {
+                witness = true;
+                k += 1;
+            } else if live
                 && matches!(self.stations[idx].wake_hint(), WakeHint::Dormant)
                 && self.stations[idx].backlog() == 0
             {
@@ -1089,7 +1235,7 @@ impl Engine {
         engaged
             .iter()
             .any(|&idx| self.stations[idx].phase_hint().is_some())
-            || self.current_phase_hint().is_none()
+            || self.current_phase_hint(&self.active).is_none()
     }
 
     /// The contention-run chorus loop: polls and observes only the engaged
@@ -1361,6 +1507,8 @@ impl Engine {
         for idx in 0..self.hot.down.len() {
             if let Some(restart) = self.hot.down[idx] {
                 if restart <= ordinal {
+                    // The anchor is dropped below; lifted cursors need it.
+                    self.wake_lifted();
                     self.stations[idx].restart(self.now);
                     self.stats.restarts += 1;
                     self.hot.down[idx] = None;
@@ -1384,7 +1532,9 @@ impl Engine {
                 self.stats.push_lost(msg);
             }
             self.stats.crashes += 1;
-            let restart = ordinal + down_slots.max(1);
+            // Saturating, and below the never-due ABSENT sentinel: a down
+            // time that outlasts the ordinal space keeps the station down.
+            let restart = ordinal.saturating_add(down_slots.max(1)).min(ABSENT - 1);
             self.hot.down[idx] = Some(restart);
             next_restart = Some(next_restart.map_or(restart, |r| r.min(restart)));
             self.backlog_stale = true;
@@ -1508,7 +1658,8 @@ impl Engine {
         // Attribute the slot before observations mutate the shared
         // automaton (poll never changes phase state; observe does).
         let hint = if self.metrics.is_some() {
-            self.current_phase_hint()
+            // `active` was moved out of `self` above: pass the slice.
+            self.current_phase_hint(&active)
         } else {
             None
         };
@@ -1552,15 +1703,16 @@ impl Engine {
         self.slot_ordinal += 1;
     }
 
-    /// The slot attribution from the first synced station that offers one
-    /// (replicas agree on the shared automaton, so any synced answer is
-    /// the network's answer).
-    fn current_phase_hint(&self) -> Option<PhaseHint> {
-        self.stations
+    /// The slot attribution from the first live station in `indices` (the
+    /// active set) that offers one. Replicas agree on the shared
+    /// automaton, so any synced answer is the network's answer, and the
+    /// witness [`Engine::park_dormant`] keeps active guarantees the active
+    /// set holds one whenever any live station would.
+    fn current_phase_hint(&self, indices: &[usize]) -> Option<PhaseHint> {
+        indices
             .iter()
-            .enumerate()
-            .filter(|(idx, _)| self.hot.down[*idx].is_none())
-            .find_map(|(_, station)| station.phase_hint())
+            .filter(|&&idx| self.hot.down[idx].is_none())
+            .find_map(|&idx| self.stations[idx].phase_hint())
     }
 
     /// Feeds one resolved slot into the metrics: phase/ξ accounting plus
@@ -2347,6 +2499,28 @@ mod tests {
         assert_eq!(e.stats().deliveries[0].message.source, SourceId(1));
         assert_eq!(e.stats().deliveries[1].message.id, MessageId(3));
         assert!(!e.is_down(0), "restart processed");
+    }
+
+    #[test]
+    fn down_time_past_the_clock_keeps_the_station_down() {
+        use crate::fault::{FaultEvent, FaultKind};
+        // A crash at ordinal 3 for u64::MAX slots: the restart ordinal
+        // saturates below the ABSENT sentinel instead of wrapping to 2,
+        // so the station neither restarts nor reads as absent.
+        let mut e = engine_with_stations(2);
+        e.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
+            slot: 3,
+            kind: FaultKind::Crash {
+                station: 0,
+                down_slots: u64::MAX,
+            },
+        }]));
+        e.add_arrivals([msg(0, 1, 0), msg(1, 1, 40 * 512)]).unwrap();
+        e.run_to_completion(Ticks(1_000_000)).unwrap();
+        assert_eq!(e.stats().crashes, 1);
+        assert_eq!(e.stats().restarts, 0);
+        assert!(e.is_down(0) && !e.is_absent(0));
+        assert_eq!(e.stats().deliveries.len(), 2);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! `j` of `z` draws `derive_seed(crash_lane, s·z + j)` (index arithmetic
 //! wraps). A draw `h` fires when `unit(h) = (h >> 11) / 2⁵³` is below the
 //! lane's rate, and a crash draw only counts while its station is up
-//! (`down_until[j] <= s`). Within a slot the events come out as corrupt,
+//! (`down_until[j] <= s`, where a crash at `s` sets `down_until[j]` to
+//! `s + down_slots`, saturating). Within a slot the events come out as corrupt,
 //! then erase, then crashes in ascending station order.
 //!
 //! **Integer thresholds.** `unit(h) < rate` is decided without floating
@@ -520,7 +521,7 @@ impl CrashScan {
         let stations = self.offsets.iter().zip(self.down_until.iter_mut());
         for (station, (&offset, until)) in stations.enumerate() {
             if *until <= slot && mix(base.wrapping_add(offset)) >> 11 < self.threshold {
-                *until = slot.wrapping_add(down_slots);
+                *until = slot.saturating_add(down_slots);
                 events.push(FaultEvent {
                     slot,
                     kind: FaultKind::Crash {
@@ -809,9 +810,29 @@ mod tests {
         assert!(crashes > 0, "rate 0.05 over 5000 slots produced no crash");
     }
 
+    #[test]
+    fn a_down_time_past_the_clock_crashes_each_station_once() {
+        // `slot + down_slots` saturates: a wrapped sum would land in the
+        // past and let the station crash again at once.
+        let rates = FaultRates {
+            corrupt: 0.0,
+            erase: 0.0,
+            crash: 0.05,
+            down_slots: u64::MAX,
+        };
+        let plan = FaultPlan::generate(1, 4, 5_000, &rates);
+        let mut crashed = [0; 4];
+        for e in plan.events() {
+            if let FaultKind::Crash { station, .. } = e.kind {
+                crashed[station as usize] += 1;
+            }
+        }
+        assert_eq!(crashed, [1; 4]);
+    }
+
     /// The generator as first written: one `f64` draw per (slot, station)
-    /// pair, built from the public `rng` functions only. Index and
-    /// down-time arithmetic wrap, as release builds always did.
+    /// pair, built from the public `rng` functions only. Index arithmetic
+    /// wraps, as release builds always did; down-time arithmetic saturates.
     fn reference_generate(
         seed: u64,
         stations: u32,
@@ -853,7 +874,7 @@ mod tests {
                         .wrapping_mul(u64::from(stations))
                         .wrapping_add(u64::from(station));
                     if unit(crash_lane, index) < rates.crash {
-                        down_until[station as usize] = slot.wrapping_add(rates.down_slots);
+                        down_until[station as usize] = slot.saturating_add(rates.down_slots);
                         events.push(FaultEvent {
                             slot,
                             kind: FaultKind::Crash {

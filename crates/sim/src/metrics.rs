@@ -321,7 +321,7 @@ pub struct StationMetrics {
 }
 
 /// An open observation window over one tree search.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SearchWindow {
     epoch_start: Ticks,
     /// Overhead slots observed: collisions + empty probe slots.
@@ -354,7 +354,7 @@ const MAX_RETAINED_VIOLATIONS: usize = 32;
 /// Owned by the engine when metrics are enabled; one [`SimMetrics::on_slot`]
 /// per resolved decision slot, one [`SimMetrics::on_skip`] per fast-forward
 /// jump.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Slot counts by protocol phase.
     pub phase_slots: PhaseSlots,

@@ -13,7 +13,7 @@ use ddcr_baseline::{CsmaCdStation, DcrStation, NpEdfOracle, QueueDiscipline};
 use ddcr_core::{BurstConfig, DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
     ClassId, CollisionMode, Engine, FaultEvent, FaultKind, FaultPlan, FaultRates, MediumConfig,
-    Message, MessageId, SimError, SourceId, Ticks, Trace, TraceEvent,
+    Message, MessageId, SimError, SimMetrics, SourceId, Ticks, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -137,6 +137,56 @@ fn run_with_plan(
         events: engine.trace().events().to_vec(),
         stats: engine.into_stats(),
     }
+}
+
+/// One run-to-completion with metrics on or off, reduced to what the
+/// metrics contract compares: the run, the metrics, and the engine's poll
+/// and replay counters.
+fn run_metered(
+    proto: Proto,
+    z: u32,
+    medium: MediumConfig,
+    arrivals: &[Message],
+    steppers: Steppers,
+    plan: &FaultPlan,
+    metered: bool,
+) -> (RunDigest, Option<SimMetrics>, u64, u64) {
+    let mut engine = build_engine(proto, z, medium, steppers);
+    engine.set_fault_plan(plan.clone());
+    if metered {
+        engine.enable_metrics();
+    }
+    engine.add_arrivals(arrivals.iter().copied()).unwrap();
+    let outcome = Some(engine.run_to_completion(Ticks(60_000_000)));
+    let (polls, replays) = (engine.poll_count(), engine.replay_count());
+    let metrics = engine.take_metrics();
+    let run = RunDigest {
+        outcome,
+        now: engine.now(),
+        events: engine.trace().events().to_vec(),
+        stats: engine.into_stats(),
+    };
+    (run, metrics, polls, replays)
+}
+
+/// Fault events from proptest draws: (slot ordinal, kind pick, station
+/// pick, down slots).
+fn make_faults(raw: &[(u64, usize, u32, u64)], z: u32) -> FaultPlan {
+    FaultPlan::from_events(
+        raw.iter()
+            .map(|&(slot, kind, station, down_slots)| FaultEvent {
+                slot,
+                kind: match kind {
+                    0 => FaultKind::CorruptSlot,
+                    1 => FaultKind::EraseFrame,
+                    _ => FaultKind::Crash {
+                        station: station % z,
+                        down_slots,
+                    },
+                },
+            })
+            .collect(),
+    )
 }
 
 fn pick_proto(pick: usize) -> Proto {
@@ -277,21 +327,7 @@ proptest! {
             CollisionMode::Destructive
         };
         let arrivals = make_arrivals(&raw, z, 1_000);
-        let events: Vec<FaultEvent> = raw_faults
-            .iter()
-            .map(|&(slot, kind, station, down_slots)| FaultEvent {
-                slot,
-                kind: match kind {
-                    0 => FaultKind::CorruptSlot,
-                    1 => FaultKind::EraseFrame,
-                    _ => FaultKind::Crash {
-                        station: station % z,
-                        down_slots,
-                    },
-                },
-            })
-            .collect();
-        let plan = FaultPlan::from_events(events);
+        let plan = make_faults(&raw_faults, z);
         let reference = run_with_plan(
             proto, z, medium, &arrivals, true, REFERENCE, Some(plan.clone()),
         );
@@ -344,6 +380,173 @@ proptest! {
         prop_assert_eq!(&plain, &empty_fast);
         prop_assert_eq!(&plain, &empty_reference);
         prop_assert_eq!(&plain, &generated_fast);
+    }
+
+    /// Metrics ride the active set: for every protocol, workload and fault
+    /// plan, and under every fast-forward setting, the metrics are equal
+    /// with the active-set scheduler on and off, and turning metrics on
+    /// changes neither the run nor the engine's poll and replay counts
+    /// (the same stations are parked and woken either way).
+    #[test]
+    fn metrics_ride_the_active_set(
+        z in 2u32..6,
+        raw in prop::collection::vec(
+            (0u32..8, 0u64..200_000, 300_000u64..9_000_000),
+            1..24,
+        ),
+        raw_faults in prop::collection::vec(
+            (0u64..400, 0usize..3, 0u32..8, 1u64..40),
+            0..5,
+        ),
+        proto_pick in 0usize..6,
+        arbitrating in any::<bool>(),
+    ) {
+        let proto = pick_proto(proto_pick);
+        let z = if matches!(proto, Proto::NpEdf) { 1 } else { z };
+        let mut medium = MediumConfig::ethernet();
+        medium.collision_mode = if arbitrating {
+            CollisionMode::Arbitrating
+        } else {
+            CollisionMode::Destructive
+        };
+        let arrivals = make_arrivals(&raw, z, 1_000);
+        let plan = make_faults(&raw_faults, z);
+        for (fast, contention) in [(true, true), (true, false), (false, true), (false, false)] {
+            let run = |active_set: bool, metered: bool| {
+                run_metered(proto, z, medium, &arrivals, (fast, contention, active_set), &plan, metered)
+            };
+            let (parked, parked_metrics, parked_polls, parked_replays) = run(true, true);
+            let (unparked, unparked_metrics, _, _) = run(false, true);
+            let (plain, plain_metrics, plain_polls, plain_replays) = run(true, false);
+            let tag = format!("fast={fast} contention={contention}");
+            prop_assert!(plain_metrics.is_none(), "{}", tag);
+            let metrics = parked_metrics.as_ref().expect("a metered run keeps its metrics");
+            if plan.is_empty() && matches!(proto, Proto::Ddcr { .. }) {
+                // Fault-free, every replica stays synced: the witness
+                // attributes every slot.
+                prop_assert_eq!(metrics.phase_slots.unattributed, 0, "{}", tag);
+            }
+            prop_assert_eq!(&parked_metrics, &unparked_metrics, "{}", tag);
+            prop_assert_eq!(&parked, &unparked, "{}", tag);
+            prop_assert_eq!(&parked, &plain, "{}", tag);
+            prop_assert_eq!(parked_polls, plain_polls, "{}", tag);
+            prop_assert_eq!(parked_replays, plain_replays, "{}", tag);
+        }
+    }
+}
+
+/// Same-deadline clusters of three messages, one cluster every 400 µs,
+/// cycling over stations `0..senders`: tree searches with nested static
+/// searches on a 1 ms deadline, so each contention run is a few slots.
+fn cluster_rounds(rounds: u64, senders: u32) -> Vec<Message> {
+    (0..rounds * 3)
+        .map(|i| Message {
+            id: MessageId(i),
+            source: SourceId(((i / 3 + i % 3) % u64::from(senders)) as u32),
+            class: ClassId(0),
+            bits: 4_000,
+            arrival: Ticks((i / 3) * 400_000),
+            deadline: Ticks(1_000_000),
+        })
+        .collect()
+}
+
+/// Runs `arrivals` on an 8-station DDCR bus — to completion, or until
+/// `deadline` — returning the run and the catch-up log's peak held slots.
+fn run_cluster_bus(
+    arrivals: &[Message],
+    steppers: Steppers,
+    plan: FaultPlan,
+    deadline: Option<Ticks>,
+) -> (RunDigest, u64) {
+    let proto = Proto::Ddcr {
+        theta: 0,
+        bursting: false,
+    };
+    let mut engine = build_engine(proto, 8, MediumConfig::ethernet(), steppers);
+    engine.set_fault_plan(plan);
+    engine.add_arrivals(arrivals.iter().copied()).unwrap();
+    let outcome = match deadline {
+        None => Some(engine.run_to_completion(Ticks(600_000_000))),
+        Some(deadline) => {
+            engine.run_until(deadline);
+            None
+        }
+    };
+    let peak = engine.catchup_peak_slots();
+    let run = RunDigest {
+        outcome,
+        now: engine.now(),
+        events: engine.trace().events().to_vec(),
+        stats: engine.into_stats(),
+    };
+    (run, peak)
+}
+
+/// The catch-up log is bounded by the wake anchor's epoch, not by the run:
+/// on an 8-station bus, stations 0–6 keep engaging in contention runs
+/// (whose log entries hold one record per slot) while station 7 never
+/// receives a message, so it parks at the first opportunity and stays
+/// parked (station 0, the first synced station, is the active witness).
+/// Compaction must lift the sleeper's cursor to the anchor's epoch instead
+/// of keeping every slot it slept through — the held slots stay under a
+/// fixed bound however long the run lasts — and the sleeper must still
+/// wake bitwise exact.
+#[test]
+fn parked_station_does_not_pin_the_catch_up_log() {
+    /// Held-slot ceiling. Trimmed, the log holds the anchor's epoch tail
+    /// plus at most one entry watermark (64 entries of a few slots each):
+    /// 186 slots at every run length here. Untrimmed it held the whole
+    /// run, growing with it: 510 slots at 40 rounds, 1,042 at 80, past
+    /// 4,000 at 320.
+    const BOUND: u64 = 512;
+    let mut peaks = Vec::new();
+    for rounds in [80u64, 320] {
+        let arrivals = cluster_rounds(rounds, 7);
+        let (active, peak) =
+            run_cluster_bus(&arrivals, (true, true, true), FaultPlan::none(), None);
+        let (reference, _) = run_cluster_bus(&arrivals, REFERENCE, FaultPlan::none(), None);
+        assert_eq!(active, reference, "rounds={rounds}");
+        assert_eq!(active.stats.deliveries.len() as u64, rounds * 3);
+        assert!(
+            peak <= BOUND,
+            "catch-up log held {peak} slots (bound {BOUND}) over {rounds} rounds"
+        );
+        peaks.push(peak);
+    }
+    // The runs really parked a station and logged contention runs.
+    assert!(peaks.iter().all(|&p| p > 0), "nothing was ever parked: {peaks:?}");
+}
+
+/// A restart drops the wake anchor without waking everyone, so it must
+/// first wake every station whose cursor compaction lifted (those can only
+/// wake through the anchor). Station 1 crashes early; station 7 re-parks
+/// after the crash's wake-up and has its cursor lifted while traffic
+/// lasts. Two restarts strike while it is lifted: one mid-traffic, and one
+/// in the idle tail after the last delivery, where no later park or wake
+/// would capture a fresh anchor before the run ends and wakes station 7.
+/// Every stepper configuration must match the reference bitwise (and the
+/// debug build asserts a lifted station never wakes without its anchor).
+#[test]
+fn restart_wakes_lifted_stations_before_dropping_the_anchor() {
+    let arrivals = cluster_rounds(160, 7);
+    let crash = |slot, station, down_slots| FaultEvent {
+        slot,
+        kind: FaultKind::Crash {
+            station,
+            down_slots,
+        },
+    };
+    let plan = FaultPlan::from_events(vec![crash(500, 1, 20_000), crash(40_000, 2, 160_000)]);
+    // 160 rounds of 400 µs end near slot 125,000; the second restart
+    // lands at slot 200,000 (102.4 ms).
+    let deadline = Some(Ticks(110_000_000));
+    let (reference, _) = run_cluster_bus(&arrivals, REFERENCE, plan.clone(), deadline);
+    assert_eq!(reference.stats.crashes, 2);
+    assert_eq!(reference.stats.restarts, 2);
+    for steppers in OPTIMIZED {
+        let (fast, _) = run_cluster_bus(&arrivals, steppers, plan.clone(), deadline);
+        assert_eq!(fast, reference, "steppers={steppers:?}");
     }
 }
 
