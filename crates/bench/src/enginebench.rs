@@ -98,7 +98,9 @@ use std::time::Instant;
 /// active-set run again with metrics on, as `ddcr run` meters, gated on
 /// equivalence everywhere and on a ratio ≤ [`MAX_METERED_RATIO`] at n ≥
 /// [`STATION_SCALE_GATED_AT`].
-pub const SCHEMA_VERSION: u64 = 10;
+/// Version 11 gates the crash-faulted `station_scale` point: its speedup
+/// must clear [`MIN_FAULTED_STATION_SCALE_SPEEDUP`]× (no new fields).
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// Default report location (relative to the workspace root, like
 /// `results/`).
@@ -161,6 +163,12 @@ const METERED_PAIRS: usize = 5;
 
 /// Population of the crash-faulted station-scale point.
 pub const FAULTED_STATION_SCALE_AT: u32 = 1024;
+
+/// Gate threshold: the crash-faulted station-scale point must clear at
+/// least this active-set speedup, at [`FAULTED_STATION_SCALE_AT`]
+/// stations. A crash wakes only the stations it names, so a crash plan
+/// must not bring back the O(stations) wake per fault.
+pub const MIN_FAULTED_STATION_SCALE_SPEEDUP: f64 = 10.0;
 
 /// Station counts of the engine-assembly measurement, smallest first. The
 /// gate compares the per-station cost at the last point with the first.
@@ -2005,6 +2013,16 @@ pub fn check_report(doc: &Json) -> Vec<String> {
                     }
                 }
                 let stations = entry.get("stations").and_then(Json::as_f64).unwrap_or(0.0);
+                if entry.get("faulted").and_then(Json::as_bool) == Some(true) {
+                    match entry.get("speedup").and_then(Json::as_f64) {
+                        Some(s) if s >= MIN_FAULTED_STATION_SCALE_SPEEDUP => {}
+                        Some(s) => fail(format!(
+                            "station_scale[{i}].speedup {s:.2} below faulted gate \
+                             {MIN_FAULTED_STATION_SCALE_SPEEDUP} (z={stations})"
+                        )),
+                        None => fail(format!("missing station_scale[{i}].speedup (faulted)")),
+                    }
+                }
                 if stations >= STATION_SCALE_GATED_AT as f64 {
                     gated += 1;
                     match entry.get("speedup").and_then(Json::as_f64) {
@@ -2337,7 +2355,7 @@ mod tests {
                     messages: 2_048,
                     slots: 40_000,
                     active_wall_ns: 8_000,
-                    baseline_wall_ns: 30_000,
+                    baseline_wall_ns: 240_000,
                     equivalent: true,
                     completed: true,
                     polls: 90_000,
@@ -2470,7 +2488,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
-        let doc = Json::parse(r#"{"schema_version": 10}"#).unwrap();
+        let doc = Json::parse(r#"{"schema_version": 11}"#).unwrap();
         let violations = check_report(&doc);
         for needle in [
             "profile",
@@ -2619,6 +2637,50 @@ mod tests {
             violations
                 .iter()
                 .any(|v| v.contains("station_scale[2].metered_ratio") && v.contains("above gate")),
+            "{violations:?}"
+        );
+    }
+
+    /// The fixture's crash-faulted point (index 1) at 1024 stations.
+    fn faulted_station_scale_entry(
+        doc: &mut Json,
+    ) -> &mut std::collections::BTreeMap<String, Json> {
+        let Json::Object(map) = doc else {
+            panic!("fixture is an object")
+        };
+        let Some(Json::Array(entries)) = map.get_mut("station_scale") else {
+            panic!("fixture has a station_scale array")
+        };
+        let Json::Object(entry) = &mut entries[1] else {
+            panic!("station_scale entries are objects")
+        };
+        assert_eq!(entry.get("faulted").and_then(Json::as_bool), Some(true));
+        entry
+    }
+
+    #[test]
+    fn slow_faulted_station_scale_point_fails_gate() {
+        let mut doc = passing_report();
+        faulted_station_scale_entry(&mut doc).insert("speedup".into(), Json::Number(3.3));
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("station_scale[1].speedup 3.30")
+                    && v.contains("below faulted gate")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn missing_faulted_speedup_is_reported() {
+        let mut doc = passing_report();
+        faulted_station_scale_entry(&mut doc).remove("speedup");
+        let violations = check_report(&doc);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("missing station_scale[1].speedup (faulted)")),
             "{violations:?}"
         );
     }

@@ -173,12 +173,21 @@ pub fn dimension(
             }
         }
     }
-    candidates.sort_by(|a, b| {
-        b.min_slack()
-            .partial_cmp(&a.min_slack())
-            .expect("no NaN slack")
-    });
+    rank_by_slack(&mut candidates);
     Ok(candidates)
+}
+
+/// Sorts `candidates` by decreasing minimum slack, stably, with a NaN
+/// slack (of either sign) ranked last instead of aborting the sort. Finite
+/// and infinite slacks keep the `partial_cmp` order, so `-0.0` and `0.0`
+/// still tie and keep their search order.
+fn rank_by_slack(candidates: &mut [Candidate]) {
+    candidates.sort_by(|a, b| {
+        let (a, b) = (a.min_slack(), b.min_slack());
+        a.is_nan()
+            .cmp(&b.is_nan())
+            .then_with(|| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal))
+    });
 }
 
 /// The smallest `m`-ary shape with at least `z` leaves, and the next one up
@@ -311,6 +320,31 @@ mod tests {
             dimension(&set, &MediumConfig::ethernet(), &SearchSpace::default()),
             Err(DdcrError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_nan_slack_candidate_ranks_last() {
+        let set = scenario::air_traffic_control(4).unwrap();
+        let medium = MediumConfig::gigabit_ethernet();
+        let ranked = dimension(&set, &medium, &SearchSpace::default()).unwrap();
+        assert!(ranked.len() >= 3);
+        let slacks = |cs: &[Candidate]| cs.iter().map(Candidate::min_slack).collect::<Vec<_>>();
+        // Poison the best and the second candidates' bounds: a NaN of each
+        // sign, both of which must sink below every finite slack.
+        let mut poisoned = ranked.clone();
+        for (k, nan) in [(0, f64::NAN), (1, -f64::NAN)] {
+            for class in &mut poisoned[k].report.per_class {
+                class.bound = nan;
+            }
+            assert!(poisoned[k].min_slack().is_nan());
+        }
+        poisoned.reverse();
+        rank_by_slack(&mut poisoned);
+        let n = poisoned.len();
+        assert!(poisoned[n - 2..].iter().all(|c| c.min_slack().is_nan()));
+        // The finite candidates keep the order they had (the reversal of
+        // tied slacks aside, which a stable sort cannot undo).
+        assert_eq!(slacks(&poisoned[..n - 2]), slacks(&ranked[2..]));
     }
 
     #[test]

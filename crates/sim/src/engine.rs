@@ -117,8 +117,10 @@ impl StationHot {
 
 /// The engine-held epoch-anchored wake shortcut: a resynchronization
 /// checkpoint captured from a fully caught-up station (see
-/// [`Station::resync_checkpoint`]), refreshed on every park and wake and
-/// dropped on fault/membership transitions. A station that parked before
+/// [`Station::resync_checkpoint`]), refreshed on every park and wake. A
+/// fault or membership transition leaves it valid: the checkpoint is a
+/// function of the channel history up to its capture point, which no
+/// transition rewrites. A station that parked before
 /// the checkpoint's epoch boundary wakes by rebasing onto the boundary and
 /// replaying only the log tail from it — `O(final epoch)` instead of
 /// `O(dormant span)`. Since nothing before the boundary is ever replayed
@@ -872,9 +874,10 @@ impl Engine {
         self.capture_anchor(idx);
     }
 
-    /// Wakes every parked station (fault/membership transitions, metrics
-    /// enablement, scheduler shutdown, and corrupted otherwise-silent
-    /// slots all invalidate parked-state assumptions wholesale).
+    /// Wakes every parked station (scheduler shutdown, a sync for
+    /// inspection, and corrupted otherwise-silent slots — which no
+    /// transmitter carries the consequences of — invalidate parked-state
+    /// assumptions wholesale).
     fn wake_all(&mut self) {
         if self.parked_count == 0 {
             return;
@@ -884,14 +887,28 @@ impl Engine {
         }
     }
 
-    /// Wakes every parked station whose cursor compaction lifted — before
-    /// anything drops the wake anchor they depend on.
-    fn wake_lifted(&mut self) {
-        if self.lifted_count == 0 {
+    /// Wakes what a fault or membership transition needs awake, before it
+    /// is applied: the stations it `named` (crashing, joining or leaving
+    /// ones) and — when the transition takes down the witness (see
+    /// [`Engine::park_dormant`]) — the lowest parked station. Any parked
+    /// replica holds the synced shared state, so that one carries the
+    /// shared-state vetoes (mid-STs, or under a burst reservation) in the
+    /// witness's place. Every other parked station stays parked, its
+    /// cursor and the wake anchor still valid, so a transition costs O(1)
+    /// wakes however many stations sleep.
+    fn wake_for_transition(&mut self, named: &[usize]) {
+        if self.parked_count == 0 {
             return;
         }
-        for idx in 0..self.stations.len() {
-            if self.hot.lifted[idx] {
+        let witness =
+            self.active.iter().copied().find(|&idx| {
+                self.hot.down[idx].is_none() && self.stations[idx].phase_hint().is_some()
+            });
+        for &idx in named {
+            self.wake_station(idx);
+        }
+        if witness.is_some_and(|witness| named.contains(&witness)) {
+            if let Some(idx) = self.hot.parked.iter().position(|&parked| parked) {
                 self.wake_station(idx);
             }
         }
@@ -1492,14 +1509,28 @@ impl Engine {
     /// Processes the fault transitions due at the current slot ordinal:
     /// restarts first (a station whose down time ends this slot is up for
     /// it), then newly scheduled crashes.
+    ///
+    /// A crash changes only the crashed replica. Every replica's shared
+    /// state is a pure function of the epoch coordinates and the channel
+    /// observations (§4), and a crash is not an observation: the other
+    /// replicas see the crashed station fall silent on the channel like any
+    /// station with an empty queue. So a crash wakes only the crashing
+    /// stations, plus a replacement when it takes down the witness (see
+    /// [`Engine::wake_for_transition`]); every other parked replica stays
+    /// parked and catches up on the channel spans as before. For the same
+    /// reason neither a crash nor a restart drops the wake anchor: its
+    /// checkpoint is the shared state at a point of the channel history,
+    /// and parked and lifted stations keep waking through it.
     fn process_fault_transitions(&mut self) {
         let ordinal = self.slot_ordinal;
-        if self.parked_count > 0 && self.faults.crashes_at(ordinal).next().is_some() {
-            // A crash mutates protocol state wholesale (and may strand a
-            // burst reservation or mid-search state with no live witness
-            // to veto fast-forward runs over it): catch everyone up and
-            // let dormancy re-form afterwards.
-            self.wake_all();
+        let crashes: Vec<(u32, u64)> = self.faults.crashes_at(ordinal).collect();
+        if self.parked_count > 0 && !crashes.is_empty() {
+            let named: Vec<usize> = crashes
+                .iter()
+                .map(|&(station, _)| station as usize)
+                .filter(|&idx| idx < self.stations.len())
+                .collect();
+            self.wake_for_transition(&named);
         }
         // The walk over `down` also rebuilds the restart fence from the
         // stations that stay down.
@@ -1507,21 +1538,15 @@ impl Engine {
         for idx in 0..self.hot.down.len() {
             if let Some(restart) = self.hot.down[idx] {
                 if restart <= ordinal {
-                    // The anchor is dropped below; lifted cursors need it.
-                    self.wake_lifted();
                     self.stations[idx].restart(self.now);
                     self.stats.restarts += 1;
                     self.hot.down[idx] = None;
                     self.backlog_stale = true;
-                    // The captured checkpoint predates this transition;
-                    // drop it rather than rebase onto a stale epoch.
-                    self.anchor = None;
                 } else if restart != ABSENT {
                     next_restart = Some(next_restart.map_or(restart, |r| r.min(restart)));
                 }
             }
         }
-        let crashes: Vec<(u32, u64)> = self.faults.crashes_at(ordinal).collect();
         for (station, down_slots) in crashes {
             let idx = station as usize;
             if idx >= self.stations.len() || self.hot.down[idx].is_some() {
@@ -1538,7 +1563,6 @@ impl Engine {
             self.hot.down[idx] = Some(restart);
             next_restart = Some(next_restart.map_or(restart, |r| r.min(restart)));
             self.backlog_stale = true;
-            self.anchor = None;
         }
         self.hot.next_restart = next_restart;
     }
@@ -1547,6 +1571,15 @@ impl Engine {
     /// joins first (a station admitted this slot is up — receive-only,
     /// resynchronizing — for it), then leaves, mirroring the
     /// restarts-before-crashes order of the fault transitions.
+    ///
+    /// Like a crash, a join or leave changes only the station it names.
+    /// No replica is told of it: a joining station resynchronizes from the
+    /// channel the way a restarted one does, and a leaving one falls
+    /// silent, so the shared state of every other replica — a function of
+    /// the epoch coordinates and the channel observations alone (§4) — is
+    /// untouched. The transition wakes only the named stations, plus a
+    /// replacement when a leave takes down the witness (see
+    /// [`Engine::wake_for_transition`]).
     fn process_membership_transitions(&mut self) {
         let ordinal = self.slot_ordinal;
         let changes: Vec<MembershipChange> = self
@@ -1556,17 +1589,11 @@ impl Engine {
             .map(|e| e.change)
             .collect();
         if self.parked_count > 0 && !changes.is_empty() {
-            // Joins and leaves rewire the fabric under the parked
-            // stations' feet (a leave drops shared state mid-flight, a
-            // join changes who participates in searches): catch everyone
-            // up before applying them.
-            self.wake_all();
-        }
-        // Whatever checkpoint was captured predates the membership changes
-        // about to be applied; drop it rather than rebase onto a stale
-        // epoch.
-        if !changes.is_empty() {
-            self.anchor = None;
+            let named: Vec<usize> = changes
+                .iter()
+                .map(|change| change.station() as usize)
+                .collect();
+            self.wake_for_transition(&named);
         }
         for change in &changes {
             if let MembershipChange::Join { station } = *change {

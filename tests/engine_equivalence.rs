@@ -13,7 +13,7 @@ use ddcr_baseline::{CsmaCdStation, DcrStation, NpEdfOracle, QueueDiscipline};
 use ddcr_core::{BurstConfig, DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
     ClassId, CollisionMode, Engine, FaultEvent, FaultKind, FaultPlan, FaultRates, MediumConfig,
-    Message, MessageId, SimError, SimMetrics, SourceId, Ticks, Trace, TraceEvent,
+    Message, MessageId, ProtocolPhase, SimError, SimMetrics, SourceId, Ticks, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -518,17 +518,18 @@ fn parked_station_does_not_pin_the_catch_up_log() {
     assert!(peaks.iter().all(|&p| p > 0), "nothing was ever parked: {peaks:?}");
 }
 
-/// A restart drops the wake anchor without waking everyone, so it must
-/// first wake every station whose cursor compaction lifted (those can only
-/// wake through the anchor). Station 1 crashes early; station 7 re-parks
-/// after the crash's wake-up and has its cursor lifted while traffic
-/// lasts. Two restarts strike while it is lifted: one mid-traffic, and one
-/// in the idle tail after the last delivery, where no later park or wake
-/// would capture a fresh anchor before the run ends and wakes station 7.
-/// Every stepper configuration must match the reference bitwise (and the
-/// debug build asserts a lifted station never wakes without its anchor).
+/// Crashes and restarts keep the wake anchor and leave parked stations
+/// parked, so a station whose cursor compaction lifted (it can only wake
+/// through the anchor) sleeps through them and must still wake exactly.
+/// Station 1 crashes early; station 7 never holds a message and has its
+/// cursor lifted while traffic lasts. Two restarts strike while it is
+/// lifted: one mid-traffic, and one in the idle tail after the last
+/// delivery, where no later park or wake captures a fresh anchor before
+/// the run ends and wakes station 7. Every stepper configuration must
+/// match the reference bitwise (and the debug build asserts a lifted
+/// station never wakes without its anchor).
 #[test]
-fn restart_wakes_lifted_stations_before_dropping_the_anchor() {
+fn lifted_stations_sleep_through_crashes_and_restarts() {
     let arrivals = cluster_rounds(160, 7);
     let crash = |slot, station, down_slots| FaultEvent {
         slot,
@@ -547,6 +548,119 @@ fn restart_wakes_lifted_stations_before_dropping_the_anchor() {
     for steppers in OPTIMIZED {
         let (fast, _) = run_cluster_bus(&arrivals, steppers, plan.clone(), deadline);
         assert_eq!(fast, reference, "steppers={steppers:?}");
+    }
+}
+
+/// A crash wakes only the crashing stations, so when it takes down the
+/// witness — the one synced station kept active to carry the shared-state
+/// vetoes — while every other live station is parked, the lowest parked
+/// replica must take over. On an 8-station bursting DDCR bus, station 0 is
+/// the witness and stations 2–7 sleep through two hand-written crashes
+/// with the shared automaton outside the idle cycle:
+///
+/// * `burst`: station 0 crashes at slot 1,956, in the middle of its own
+///   four-frame burst, so every replica holds a burst reservation for a
+///   station that has just gone silent;
+/// * `sts`: stations 0 and 1 collide into a static tree search (slots
+///   1,963–1,970) and both crash at slot 1,965, inside it.
+///
+/// Later traffic wakes the sleepers, and a restart brings the crashed
+/// stations back. Every stepper configuration must match the reference
+/// bitwise with metrics on and off, and the metrics must be equal with
+/// the active set on and off (without the hand-off, nothing live
+/// attributes the slots after the crash).
+#[test]
+fn crashed_witness_hands_off_to_a_parked_replica() {
+    let message = |id: u64, source: u32, arrival: u64, deadline: u64| Message {
+        id: MessageId(id),
+        source: SourceId(source),
+        class: ClassId(0),
+        bits: 1_000,
+        arrival: Ticks(arrival),
+        deadline: Ticks(deadline),
+    };
+    let crash = |slot, station| FaultEvent {
+        slot,
+        kind: FaultKind::Crash {
+            station,
+            down_slots: 500,
+        },
+    };
+    let later = [
+        message(10, 2, 1_500_000, 3_000_000),
+        message(11, 5, 1_500_000, 3_000_000),
+    ];
+    let burst: Vec<Message> = (0..4)
+        .map(|i| message(i, 0, 1_000_000, 9_000_000))
+        .collect();
+    let sts: Vec<Message> = (0..2)
+        .map(|i| message(i, i as u32, 1_000_000, 1_300_000))
+        .collect();
+    let cases = [
+        ("burst", burst, vec![crash(1_956, 0)], ProtocolPhase::Burst),
+        (
+            "sts",
+            sts,
+            vec![crash(1_965, 0), crash(1_965, 1)],
+            ProtocolPhase::StaticSearch,
+        ),
+    ];
+    let proto = Proto::Ddcr {
+        theta: 0,
+        bursting: true,
+    };
+    let medium = MediumConfig::ethernet();
+    for (case, mut arrivals, events, phase) in cases {
+        arrivals.extend(later);
+        let plan = FaultPlan::from_events(events);
+        // The premise: at the crash slot, the sleepers' shared automaton is
+        // in `phase`, outside the idle cycle they parked in.
+        let crash_slot = plan.events()[0].slot;
+        let mut probe = build_engine(proto, 8, medium, REFERENCE);
+        probe.add_arrivals(arrivals.iter().copied()).unwrap();
+        while probe.slot_ordinal() < crash_slot {
+            let next = probe.now() + Ticks(1);
+            probe.run_until(next);
+        }
+        assert_eq!(probe.slot_ordinal(), crash_slot, "{case}");
+        let hint = probe.station(2).and_then(|s| s.phase_hint());
+        assert_eq!(hint.map(|h| h.phase), Some(phase), "{case}");
+
+        let (reference, _, _, _) =
+            run_metered(proto, 8, medium, &arrivals, REFERENCE, &plan, false);
+        assert_eq!(reference.outcome, Some(Ok(())), "{case}");
+        assert_eq!(
+            reference.stats.crashes,
+            plan.events().len() as u64,
+            "{case}"
+        );
+        let woken = reference
+            .stats
+            .deliveries
+            .iter()
+            .filter(|d| d.message.id.0 >= 10);
+        assert_eq!(woken.count(), 2, "{case}: the later traffic");
+        for (fast, contention) in [(true, true), (true, false), (false, true), (false, false)] {
+            let tag = format!("{case} fast={fast} contention={contention}");
+            let run = |active_set: bool, metered: bool| {
+                run_metered(
+                    proto,
+                    8,
+                    medium,
+                    &arrivals,
+                    (fast, contention, active_set),
+                    &plan,
+                    metered,
+                )
+            };
+            let (parked, parked_metrics, _, _) = run(true, true);
+            let (unparked, unparked_metrics, _, _) = run(false, true);
+            let (plain, _, _, _) = run(true, false);
+            assert_eq!(parked, reference, "{tag}");
+            assert_eq!(unparked, reference, "{tag}");
+            assert_eq!(plain, reference, "{tag}");
+            assert_eq!(parked_metrics, unparked_metrics, "{tag}");
+        }
     }
 }
 
@@ -801,4 +915,71 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
     );
     // The comparison is meaningful: the reference really pays O(n) per slot.
     assert!(reference_polls >= station_slots);
+}
+
+/// A crash costs O(1) wakes, not O(stations): one sparse DDCR workload
+/// (64 messages from stations 0–194) at 256 and at 1024 stations, with
+/// the same single crash and restart of a station that never holds a
+/// message. The crash strikes mid-run, while the sleepers' cursors sit
+/// lifted on the wake anchor. What it adds to the engine's poll and
+/// replay counts over the fault-free run must not grow with the
+/// population: 7 polls and 81 replays at both sizes. Waking every parked
+/// station on the crash added 261 polls and 5,904 replays at 256
+/// stations, 1,029 and 24,336 at 1024; waking only the lifted ones before
+/// dropping the wake anchor, 257 and 5,821, 1,025 and 24,253.
+#[test]
+fn a_crash_costs_constant_wakes_at_any_population() {
+    /// How much the crash's added cost may differ between populations.
+    const SLACK: i64 = 32;
+    let medium = MediumConfig::ethernet();
+    let proto = Proto::Ddcr {
+        theta: 0,
+        bursting: false,
+    };
+    let arrivals: Vec<Message> = (0..64u64)
+        .map(|i| Message {
+            id: MessageId(i),
+            source: SourceId((i * 13 % 195) as u32),
+            class: ClassId(0),
+            bits: 4_000,
+            arrival: Ticks(i * 120_000),
+            deadline: Ticks(30_000_000),
+        })
+        .collect();
+    let crash = FaultPlan::from_events(vec![FaultEvent {
+        slot: 10_000,
+        kind: FaultKind::Crash {
+            station: 200,
+            down_slots: 1_000,
+        },
+    }]);
+    // (added polls, added replays) of the crash at population `z`. The run
+    // stops at drain, before the end-of-run sync wakes every station.
+    let added = |z: u32| {
+        let counters = |plan: &FaultPlan| {
+            let mut engine = build_engine(proto, z, medium, (true, true, true));
+            engine.set_fault_plan(plan.clone());
+            engine.add_arrivals(arrivals.iter().copied()).unwrap();
+            assert!(engine.run_until_drained(Ticks(60_000_000)), "z={z}");
+            if !plan.is_empty() {
+                assert_eq!((engine.stats().crashes, engine.stats().restarts), (1, 1));
+            }
+            (engine.poll_count() as i64, engine.replay_count() as i64)
+        };
+        let (clean, faulted) = (counters(&FaultPlan::none()), counters(&crash));
+        (faulted.0 - clean.0, faulted.1 - clean.1)
+    };
+    let (small, large) = (added(256), added(1024));
+    assert!(
+        large.0 <= small.0 + SLACK,
+        "the crash added {} polls at 1024 stations, {} at 256",
+        large.0,
+        small.0
+    );
+    assert!(
+        large.1 <= small.1 + SLACK,
+        "the crash added {} replays at 1024 stations, {} at 256",
+        large.1,
+        small.1
+    );
 }

@@ -3,14 +3,16 @@
 //! ordinals under every fast-forward tier — the 2³ switch matrix
 //! (idle × contention × active-set) and both collision modes must
 //! be bitwise indistinguishable from the reference stepper — and the
-//! empty plan must be invisible. Membership changes mutate the active-set
-//! scheduler's wake index (every parked station wakes and replays its
-//! catch-up log), so the matrix exercises that interaction directly.
+//! empty plan must be invisible. A join or leave wakes the stations it
+//! names out of the active-set scheduler's parked set (and a replacement
+//! when the leaving station was the witness), so the matrix exercises that
+//! interaction directly.
 
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
-    ClassId, CollisionMode, Engine, FaultEvent, FaultKind, FaultPlan, MediumConfig, MembershipEvent,
-    MembershipChange, MembershipPlan, Message, MessageId, SourceId, Ticks, Trace, TraceEvent,
+    ClassId, CollisionMode, Engine, FaultEvent, FaultKind, FaultPlan, MediumConfig,
+    MembershipChange, MembershipEvent, MembershipPlan, Message, MessageId, ProtocolPhase, SourceId,
+    Ticks, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -309,6 +311,93 @@ fn leave_loses_queue_and_rejoin_resynchronizes() {
     assert!(delivered.contains(&1));
     assert!(delivered.contains(&3));
     assert!(!delivered.contains(&0), "lost message delivered");
+}
+
+/// A leave wakes only the leaving stations, so when the witness (the
+/// synced station kept active while the others park) leaves with every
+/// other live station parked, the lowest parked replica must take over.
+/// On an 8-station bus stations 0 and 1 collide into a static tree search
+/// (slots 1,963–1,970) and both leave at slot 1,965, inside it, while
+/// stations 2–7 sleep; station 0 rejoins later, and traffic from stations
+/// 2 and 5 wakes the sleepers. Every stepper configuration must match the
+/// reference bitwise with metrics on and off, and the metrics must be
+/// equal with the active set on and off.
+#[test]
+fn leaving_witness_hands_off_to_a_parked_replica() {
+    let medium = MediumConfig::ethernet();
+    let message = |id: u64, source: u32, arrival: u64, deadline: u64| Message {
+        id: MessageId(id),
+        source: SourceId(source),
+        class: ClassId(0),
+        bits: 1_000,
+        arrival: Ticks(arrival),
+        deadline: Ticks(deadline),
+    };
+    let arrivals = [
+        message(0, 0, 1_000_000, 1_300_000),
+        message(1, 1, 1_000_000, 1_300_000),
+        message(2, 2, 1_500_000, 3_000_000),
+        message(3, 5, 1_500_000, 3_000_000),
+    ];
+    let at = |slot, change| MembershipEvent { slot, change };
+    let plan = MembershipPlan::from_events(
+        Vec::new(),
+        vec![
+            at(1_965, MembershipChange::Leave { station: 0 }),
+            at(1_965, MembershipChange::Leave { station: 1 }),
+            at(2_500, MembershipChange::Join { station: 0 }),
+        ],
+    );
+    // The premise: when the leaves strike, the sleepers' shared automaton
+    // is inside the static search, outside the idle cycle they parked in.
+    let mut probe = build_engine(8, medium, REFERENCE);
+    probe.add_arrivals(arrivals.iter().copied()).unwrap();
+    while probe.slot_ordinal() < 1_965 {
+        let next = probe.now() + Ticks(1);
+        probe.run_until(next);
+    }
+    assert_eq!(probe.slot_ordinal(), 1_965);
+    let hint = probe.station(2).and_then(|s| s.phase_hint());
+    assert_eq!(hint.map(|h| h.phase), Some(ProtocolPhase::StaticSearch));
+
+    let run = |steppers: Steppers, metered: bool| {
+        let mut engine = build_engine(8, medium, steppers);
+        engine.set_membership_plan(plan.clone()).unwrap();
+        if metered {
+            engine.enable_metrics();
+        }
+        engine.add_arrivals(arrivals.iter().copied()).unwrap();
+        engine.run_to_completion(Ticks(60_000_000)).unwrap();
+        let metrics = engine.take_metrics();
+        let digest = RunDigest {
+            now: engine.now(),
+            events: engine.trace().events().to_vec(),
+            stats: engine.into_stats(),
+        };
+        (digest, metrics)
+    };
+    let (reference, _) = run(REFERENCE, false);
+    assert_eq!((reference.stats.leaves, reference.stats.joins), (2, 1));
+    let delivered: Vec<u64> = reference
+        .stats
+        .deliveries
+        .iter()
+        .map(|d| d.message.id.0)
+        .collect();
+    assert!(
+        delivered.contains(&2) && delivered.contains(&3),
+        "{delivered:?}"
+    );
+    for steppers in OPTIMIZED {
+        for metered in [false, true] {
+            let (digest, metrics) = run(steppers, metered);
+            assert_eq!(digest, reference, "steppers={steppers:?} metered={metered}");
+            if metered && steppers.2 {
+                let (_, unparked) = run((steppers.0, steppers.1, false), true);
+                assert_eq!(metrics, unparked, "steppers={steppers:?}");
+            }
+        }
+    }
 }
 
 /// A station listed initially absent never transmits until joined; its
