@@ -133,9 +133,7 @@ impl DcrStation {
     }
 
     fn note_success(&mut self, frame: &Frame) {
-        if frame.message.source == self.source
-            && self.queue.pop_if(frame.message.id).is_some()
-        {
+        if frame.message.source == self.source && self.queue.pop_if(frame.message.id).is_some() {
             self.counters.transmitted += 1;
             self.active_in_epoch = false;
         }

@@ -38,8 +38,7 @@ impl LocalQueue {
         let pos = match self.discipline {
             QueueDiscipline::Fifo => {
                 let k = (message.arrival, message.id);
-                self.items
-                    .partition_point(|m| (m.arrival, m.id) <= k)
+                self.items.partition_point(|m| (m.arrival, m.id) <= k)
             }
             QueueDiscipline::Edf => {
                 let k = (message.absolute_deadline(), message.arrival, message.id);

@@ -35,8 +35,7 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
                 b.iter(|| {
                     let config = default_ddcr_config(&set, &medium);
                     let allocation =
-                        StaticAllocation::round_robin(config.static_tree, set.sources())
-                            .unwrap();
+                        StaticAllocation::round_robin(config.static_tree, set.sources()).unwrap();
                     let mut engine =
                         network::build_engine(&set, &config, &allocation, medium).unwrap();
                     engine.set_fast_forward(fast_forward);
@@ -59,9 +58,7 @@ fn bench_loaded_fast_forward(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("loaded_32_stations_load05_burst", name),
             &optimized,
-            |b, &optimized| {
-                b.iter(|| run_loaded(&set, &schedule, medium, optimized).0.delivered)
-            },
+            |b, &optimized| b.iter(|| run_loaded(&set, &schedule, medium, optimized).0.delivered),
         );
     }
     group.finish();
@@ -84,15 +81,11 @@ fn bench_protocol_drain(c: &mut Criterion) {
         ];
         for kind in &kinds {
             group.bench_with_input(
-                BenchmarkId::new(
-                    format!("drain_z{stations}_load{load}"),
-                    kind.name(),
-                ),
+                BenchmarkId::new(format!("drain_z{stations}_load{load}"), kind.name()),
                 kind,
                 |b, kind| {
                     b.iter(|| {
-                        run_protocol(kind, &set, &schedule, medium, Ticks(40_000_000_000))
-                            .unwrap()
+                        run_protocol(kind, &set, &schedule, medium, Ticks(40_000_000_000)).unwrap()
                     })
                 },
             );

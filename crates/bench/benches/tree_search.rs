@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddcr_tree::{
-    asymptotic, average, closed_form, divide, multi, search, witness, SearchTimeTable,
-    TreeShape,
+    asymptotic, average, closed_form, divide, multi, search, witness, SearchTimeTable, TreeShape,
 };
 
 fn bench_xi_routes(c: &mut Criterion) {
@@ -99,16 +98,12 @@ fn bench_witness_and_average(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("worst_case_witness", format!("t{t}_k{}", t / 3)),
             &shape,
-            |b, &shape| {
-                b.iter(|| witness::worst_case_witness(black_box(shape), t / 3).unwrap())
-            },
+            |b, &shape| b.iter(|| witness::worst_case_witness(black_box(shape), t / 3).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("expected_table", format!("t{t}")),
             &shape,
-            |b, &shape| {
-                b.iter(|| average::ExpectedSearchTable::compute(black_box(shape)).unwrap())
-            },
+            |b, &shape| b.iter(|| average::ExpectedSearchTable::compute(black_box(shape)).unwrap()),
         );
     }
     group.finish();

@@ -12,15 +12,7 @@ use ddcr_bench::results_dir;
 use ddcr_tree::{closed_form, search, TreeShape};
 
 fn main() {
-    let shapes = [
-        (2u64, 2u32),
-        (2, 3),
-        (2, 4),
-        (3, 2),
-        (3, 3),
-        (4, 2),
-        (5, 2),
-    ];
+    let shapes = [(2u64, 2u32), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)];
     let mut csv = Csv::create(
         &results_dir().join("exp_achievability.csv"),
         &["m", "t", "k", "xi", "worst_measured", "achieved", "witness"],
@@ -28,7 +20,10 @@ fn main() {
     .expect("create csv");
 
     println!("E12 — exhaustive tightness of xi_k^t on small trees");
-    println!("{:>3} {:>5} {:>4} {:>6} {:>9} {:>9}  witness", "m", "t", "k", "xi", "measured", "achieved");
+    println!(
+        "{:>3} {:>5} {:>4} {:>6} {:>9} {:>9}  witness",
+        "m", "t", "k", "xi", "measured", "achieved"
+    );
     let mut all_achieved = true;
     for &(m, n) in &shapes {
         let shape = TreeShape::new(m, n).expect("shape");
@@ -39,9 +34,7 @@ fn main() {
             let achieved = worst == xi;
             all_achieved &= achieved;
             if k <= 6 || k == t || !achieved {
-                println!(
-                    "{m:>3} {t:>5} {k:>4} {xi:>6} {worst:>9} {achieved:>9}  {witness:?}"
-                );
+                println!("{m:>3} {t:>5} {k:>4} {xi:>6} {worst:>9} {achieved:>9}  {witness:?}");
             }
             csv.row(&[
                 m.to_string(),

@@ -21,7 +21,9 @@ fn main() {
     let deadline = Ticks(200_000); // 200 µs
     let set = scenario::uniform(z, 48 * 8, deadline, 0.5).expect("scenario");
     let horizon = Ticks(set.classes()[0].density.w.as_u64() * 16);
-    let schedule = ScheduleBuilder::peak_load(&set).build(horizon).expect("schedule");
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(horizon)
+        .expect("schedule");
 
     let media = [
         ("ethernet-destructive", MediumConfig::ethernet()),

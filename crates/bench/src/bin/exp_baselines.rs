@@ -96,7 +96,9 @@ fn main() {
         let load = set.offered_load();
         offered_loads.push(load);
         let horizon = Ticks(set.classes()[0].density.w.as_u64() * 6);
-        let schedule = ScheduleBuilder::peak_load(&set).build(horizon).expect("schedule");
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(horizon)
+            .expect("schedule");
         let kinds = [
             ProtocolKind::Ddcr(default_ddcr_config(&set, &medium)),
             ProtocolKind::CsmaCd(QueueDiscipline::Fifo, 42),
@@ -160,8 +162,11 @@ fn main() {
         println!();
     }
     csv.finish().expect("flush");
-    write_sweep_stats(&results_dir().join("exp_baselines_sweep_stats.csv"), &report)
-        .expect("sweep stats");
+    write_sweep_stats(
+        &results_dir().join("exp_baselines_sweep_stats.csv"),
+        &report,
+    )
+    .expect("sweep stats");
     println!("{}", report.perf_line());
 
     let series: Vec<Series> = miss_series
@@ -190,7 +195,10 @@ fn main() {
         assert_eq!(oracle.misses, 0, "oracle missed at load {load}");
     }
     let (last_load, last) = summaries_by_load.last().expect("runs");
-    let beb = last.iter().find(|s| s.protocol == "csma-cd/fifo").expect("beb");
+    let beb = last
+        .iter()
+        .find(|s| s.protocol == "csma-cd/fifo")
+        .expect("beb");
     let ddcr = last.iter().find(|s| s.protocol == "ddcr").expect("ddcr");
     println!(
         "at load {last_load:.2}: csma-cd/fifo misses = {}, ddcr misses = {}",

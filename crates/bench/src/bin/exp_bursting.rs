@@ -27,16 +27,15 @@ fn main() {
     let set = {
         let mut classes = base.classes().to_vec();
         for class in &mut classes {
-            class.density = ddcr_traffic::DensityBound::new(
-                4,
-                Ticks(class.density.w.as_u64() * 4),
-            )
-            .expect("bound");
+            class.density = ddcr_traffic::DensityBound::new(4, Ticks(class.density.w.as_u64() * 4))
+                .expect("bound");
         }
         ddcr_traffic::MessageSet::new(z, classes).expect("set")
     };
     let horizon = Ticks(set.classes()[0].density.w.as_u64() * 8);
-    let schedule = ScheduleBuilder::peak_load(&set).build(horizon).expect("schedule");
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(horizon)
+        .expect("schedule");
 
     let medium = MediumConfig::gigabit_ethernet();
     let plain = default_ddcr_config(&set, &medium);
@@ -56,7 +55,9 @@ fn main() {
     )
     .expect("create csv");
 
-    println!("E11 — packet bursting on half-duplex Gigabit Ethernet ({z} sources, 100-byte trains)");
+    println!(
+        "E11 — packet bursting on half-duplex Gigabit Ethernet ({z} sources, 100-byte trains)"
+    );
     println!(
         "{:<12} {:>7} {:>12} {:>12} {:>11} {:>12} {:>7}",
         "variant", "misses", "mean_lat", "max_lat", "collisions", "makespan", "util"

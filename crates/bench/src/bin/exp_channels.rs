@@ -58,17 +58,25 @@ fn main() {
     );
     println!(
         "{:>8} {:>9} {:>9} {:>10} {:>9} {:>9} {:>7} {:>8} {:>9} {:>9} {:>8}",
-        "channels", "feasible", "max_load", "p2_slots", "scheduled", "delivered", "misses",
-        "drained", "serial_s", "par_s", "speedup"
+        "channels",
+        "feasible",
+        "max_load",
+        "p2_slots",
+        "scheduled",
+        "delivered",
+        "misses",
+        "drained",
+        "serial_s",
+        "par_s",
+        "speedup"
     );
 
     let mut single_feasible = true;
     let mut widest_feasible = false;
     for channels in 1..=4usize {
         let assignment = multibus::balance_by_load(&set, channels);
-        let budgets =
-            multibus::channel_budgets(&set, &assignment, &config, &allocation, &medium)
-                .expect("budgets");
+        let budgets = multibus::channel_budgets(&set, &assignment, &config, &allocation, &medium)
+            .expect("budgets");
         let feasible = budgets.iter().all(|b| b.feasible);
         let max_load = budgets.iter().map(|b| b.offered_load).fold(0.0, f64::max);
         let max_p2 = budgets.iter().map(|b| b.p2_slots).fold(0.0, f64::max);
@@ -79,7 +87,9 @@ fn main() {
             widest_feasible = feasible;
         }
 
-        let schedule = ScheduleBuilder::peak_load(&set).build(HORIZON).expect("schedule");
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(HORIZON)
+            .expect("schedule");
         let n = schedule.len();
         let mut options = multibus::RunOptions::new(BUDGET);
         options.workers = 1;
@@ -108,7 +118,10 @@ fn main() {
         // Worker-count invariance, checked on every row.
         assert_eq!(serial.channels.len(), parallel.channels.len());
         for (a, b) in serial.channels.iter().zip(&parallel.channels) {
-            assert_eq!(a.stats, b.stats, "channel results must not depend on --jobs");
+            assert_eq!(
+                a.stats, b.stats,
+                "channel results must not depend on --jobs"
+            );
         }
 
         let delivered = parallel.delivered();

@@ -155,7 +155,10 @@ fn main() {
         "{}",
         ascii_chart(
             "saturation efficiency vs k (frames of 23 slots = 1500B on Ethernet)",
-            &[Series::new("a analytic", avg_pts.clone()), Series::new("s simulated", sim_pts.clone())],
+            &[
+                Series::new("a analytic", avg_pts.clone()),
+                Series::new("s simulated", sim_pts.clone())
+            ],
             56,
             12,
         )
@@ -167,7 +170,10 @@ fn main() {
     // per source), so the simulated utilization may exceed the per-round
     // average — both must sit well above 0.85 and below 1.
     for &(k, eff) in &avg_pts {
-        assert!(eff > 0.8, "analytic efficiency at k={k} unexpectedly low: {eff}");
+        assert!(
+            eff > 0.8,
+            "analytic efficiency at k={k} unexpectedly low: {eff}"
+        );
     }
     for &(k, sim) in &sim_pts {
         assert!(

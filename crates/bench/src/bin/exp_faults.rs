@@ -26,15 +26,16 @@ fn run_cell(rates: &FaultRates, seed: u64) -> (usize, usize, ChannelStats) {
     let config = DdcrConfig::for_sources(SOURCES, c).expect("config");
     let allocation =
         StaticAllocation::round_robin(config.static_tree, SOURCES).expect("allocation");
-    let schedule = ScheduleBuilder::peak_load(&set).build(HORIZON).expect("schedule");
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(HORIZON)
+        .expect("schedule");
     let scheduled = schedule.len();
     // Decision slots are at least one slot time wide, so this over-covers
     // the arrival horizon; doubled for the drain tail.
     let horizon_slots = 2 * HORIZON.as_u64() / medium.slot_ticks;
     let plan = FaultPlan::generate(seed, SOURCES, horizon_slots, rates);
     let injected = plan.len();
-    let mut engine =
-        network::build_engine(&set, &config, &allocation, medium).expect("engine");
+    let mut engine = network::build_engine(&set, &config, &allocation, medium).expect("engine");
     engine.set_fault_plan(plan);
     engine.add_arrivals(schedule).expect("arrivals");
     let _ = engine.run_to_completion(Ticks(1_000_000_000_000));
@@ -45,9 +46,21 @@ fn main() {
     let mut csv = Csv::create(
         &results_dir().join("exp_faults.csv"),
         &[
-            "corrupt", "erase", "crash", "seed", "injected", "scheduled", "delivered",
-            "lost", "corrupted_slots", "erased_frames", "crashes", "restarts", "misses",
-            "max_latency", "utilization",
+            "corrupt",
+            "erase",
+            "crash",
+            "seed",
+            "injected",
+            "scheduled",
+            "delivered",
+            "lost",
+            "corrupted_slots",
+            "erased_frames",
+            "crashes",
+            "restarts",
+            "misses",
+            "max_latency",
+            "utilization",
         ],
     )
     .expect("create csv");
@@ -55,16 +68,55 @@ fn main() {
     println!("E16 — CSMA/DDCR under seeded fault injection ({SOURCES} sources, peak load)");
     println!(
         "{:>8} {:>7} {:>7} {:>5} {:>8} {:>9} {:>5} {:>8} {:>8} {:>8} {:>7}",
-        "corrupt", "erase", "crash", "seed", "injected", "delivered", "lost", "corrupt#",
-        "erased#", "restarts", "misses"
+        "corrupt",
+        "erase",
+        "crash",
+        "seed",
+        "injected",
+        "delivered",
+        "lost",
+        "corrupt#",
+        "erased#",
+        "restarts",
+        "misses"
     );
     let grid = [
-        FaultRates { corrupt: 0.0, erase: 0.0, crash: 0.0, down_slots: DOWN_SLOTS },
-        FaultRates { corrupt: 0.005, erase: 0.0, crash: 0.0, down_slots: DOWN_SLOTS },
-        FaultRates { corrupt: 0.0, erase: 0.01, crash: 0.0, down_slots: DOWN_SLOTS },
-        FaultRates { corrupt: 0.0, erase: 0.0, crash: 0.001, down_slots: DOWN_SLOTS },
-        FaultRates { corrupt: 0.005, erase: 0.01, crash: 0.001, down_slots: DOWN_SLOTS },
-        FaultRates { corrupt: 0.02, erase: 0.02, crash: 0.002, down_slots: DOWN_SLOTS },
+        FaultRates {
+            corrupt: 0.0,
+            erase: 0.0,
+            crash: 0.0,
+            down_slots: DOWN_SLOTS,
+        },
+        FaultRates {
+            corrupt: 0.005,
+            erase: 0.0,
+            crash: 0.0,
+            down_slots: DOWN_SLOTS,
+        },
+        FaultRates {
+            corrupt: 0.0,
+            erase: 0.01,
+            crash: 0.0,
+            down_slots: DOWN_SLOTS,
+        },
+        FaultRates {
+            corrupt: 0.0,
+            erase: 0.0,
+            crash: 0.001,
+            down_slots: DOWN_SLOTS,
+        },
+        FaultRates {
+            corrupt: 0.005,
+            erase: 0.01,
+            crash: 0.001,
+            down_slots: DOWN_SLOTS,
+        },
+        FaultRates {
+            corrupt: 0.02,
+            erase: 0.02,
+            crash: 0.002,
+            down_slots: DOWN_SLOTS,
+        },
     ];
     for rates in &grid {
         for seed in [1u64, 2, 3] {

@@ -43,7 +43,16 @@ fn main() {
     println!("E7 — feasibility conditions vs adversarial peak-load simulation");
     println!(
         "{:>2} {:>5} {:>6} {:>12} {:>12} {:>9} {:>12} {:>7} {:>7} {:>6}",
-        "z", "load", "d(ms)", "B_DDCR", "d(ticks)", "feasible", "max_lat", "ratio", "misses", "sound"
+        "z",
+        "load",
+        "d(ms)",
+        "B_DDCR",
+        "d(ticks)",
+        "feasible",
+        "max_lat",
+        "ratio",
+        "misses",
+        "sound"
     );
 
     let mut all_sound = true;
@@ -67,7 +76,9 @@ fn main() {
 
                 // Adversarial run: peak-load bursts over several windows.
                 let horizon = Ticks(set.classes()[0].density.w.as_u64() * 4);
-                let schedule = ScheduleBuilder::peak_load(&set).build(horizon).expect("schedule");
+                let schedule = ScheduleBuilder::peak_load(&set)
+                    .build(horizon)
+                    .expect("schedule");
                 let summary = run_protocol(
                     &ProtocolKind::Ddcr(config),
                     &set,
@@ -116,14 +127,18 @@ fn main() {
     csv.finish().expect("flush");
 
     println!();
-    println!(
-        "sweep covered both verdicts: feasible={any_feasible}, infeasible={any_infeasible}"
-    );
+    println!("sweep covered both verdicts: feasible={any_feasible}, infeasible={any_infeasible}");
     println!(
         "FC soundness (feasible => zero misses and latency <= B_DDCR): {}",
         if all_sound { "REPRODUCED" } else { "VIOLATED" }
     );
-    assert!(all_sound, "a feasible instance missed a deadline or broke its bound");
-    assert!(any_feasible && any_infeasible, "sweep should straddle the feasibility frontier");
+    assert!(
+        all_sound,
+        "a feasible instance missed a deadline or broke its bound"
+    );
+    assert!(
+        any_feasible && any_infeasible,
+        "sweep should straddle the feasibility frontier"
+    );
     println!("wrote results/exp_fc_validation.csv");
 }

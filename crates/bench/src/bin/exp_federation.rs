@@ -62,14 +62,25 @@ fn main() {
     );
     println!(
         "{:>8} {:>8} {:>9} {:>9} {:>7} {:>8} {:>7} {:>8} {:>9} {:>9} {:>8}",
-        "segments", "bridged", "scheduled", "delivered", "misses", "handoffs", "rounds",
-        "drained", "serial_s", "par_s", "speedup"
+        "segments",
+        "bridged",
+        "scheduled",
+        "delivered",
+        "misses",
+        "handoffs",
+        "rounds",
+        "drained",
+        "serial_s",
+        "par_s",
+        "speedup"
     );
 
     for segments in 1..=4usize {
         let assignment = multibus::balance_by_load(&set, segments);
         let routes = federate::transit_routes(&set, &assignment, TRANSIT_EVERY);
-        let schedule = ScheduleBuilder::peak_load(&set).build(HORIZON).expect("schedule");
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(HORIZON)
+            .expect("schedule");
         let n = schedule.len();
         let run = |workers: usize| {
             let mut options = FederationOptions::new(EPOCH, BUDGET);
@@ -94,7 +105,10 @@ fn main() {
         assert_eq!(serial.handoffs, parallel.handoffs);
         assert_eq!(serial.segments.len(), parallel.segments.len());
         for (a, b) in serial.segments.iter().zip(&parallel.segments) {
-            assert_eq!(a.stats, b.stats, "segment results must not depend on --jobs");
+            assert_eq!(
+                a.stats, b.stats,
+                "segment results must not depend on --jobs"
+            );
         }
 
         if segments == 1 {

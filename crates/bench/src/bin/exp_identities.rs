@@ -30,7 +30,10 @@ fn main() {
     .expect("create csv");
     let mut all_hold = true;
     println!("E3 — identities Eq. (4)-(8), (15) vs exact DP (Eq. 1)");
-    println!("{:>3} {:>6} {:<28} {:>10} {:>10} {:>6}", "m", "t", "identity", "lhs", "rhs", "holds");
+    println!(
+        "{:>3} {:>6} {:<28} {:>10} {:>10} {:>6}",
+        "m", "t", "identity", "lhs", "rhs", "holds"
+    );
 
     for &shape in &shapes {
         let m = shape.branching();

@@ -16,7 +16,15 @@ use std::time::Instant;
 fn main() {
     let mut csv = Csv::create(
         &results_dir().join("exp_model_check.csv"),
-        &["scope", "stations", "messages", "scenarios", "edf_checked", "violations", "seconds"],
+        &[
+            "scope",
+            "stations",
+            "messages",
+            "scenarios",
+            "edf_checked",
+            "violations",
+            "seconds",
+        ],
     )
     .expect("create csv");
 
@@ -50,7 +58,10 @@ fn main() {
         ])
         .expect("row");
         for f in report.findings.iter().take(5) {
-            println!("  VIOLATION scenario {}: {:?}", f.scenario_index, f.violation);
+            println!(
+                "  VIOLATION scenario {}: {:?}",
+                f.scenario_index, f.violation
+            );
         }
         assert!(report.clean(), "{name} scope found violations");
     }

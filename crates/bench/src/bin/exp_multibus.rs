@@ -51,7 +51,12 @@ fn main() {
     let config = SweepConfig::resolve(sweep::jobs_flag_from_args(), 42);
     let mut csv = Csv::create(
         &results_dir().join("exp_multibus.csv"),
-        &["buses", "max_provable_participants", "validated_misses", "validated_delivered"],
+        &[
+            "buses",
+            "max_provable_participants",
+            "validated_misses",
+            "validated_delivered",
+        ],
     )
     .expect("create csv");
 
@@ -109,7 +114,10 @@ fn main() {
             &options,
         )
         .expect("run");
-        assert!(report.completed(), "frontier point timed out on {buses} busses");
+        assert!(
+            report.completed(),
+            "frontier point timed out on {buses} busses"
+        );
         let delivered = report.delivered();
         let misses = report.deadline_misses();
         assert_eq!(delivered, n);

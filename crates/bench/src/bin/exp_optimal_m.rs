@@ -22,7 +22,15 @@ fn main() {
     let candidates = [2u64, 3, 4, 5, 8, 16];
     let mut csv = Csv::create(
         &results_dir().join("exp_optimal_m.csv"),
-        &["min_leaves", "m", "t", "max_xi", "sum_xi", "xi_two", "winner"],
+        &[
+            "min_leaves",
+            "m",
+            "t",
+            "max_xi",
+            "sum_xi",
+            "xi_two",
+            "winner",
+        ],
     )
     .expect("create csv");
 
@@ -34,8 +42,7 @@ fn main() {
         sizes.len(),
         |ctx| {
             let min_leaves = sizes[ctx.index];
-            optimal::compare_branching_degrees(min_leaves, &candidates, min_leaves)
-                .expect("scores")
+            optimal::compare_branching_degrees(min_leaves, &candidates, min_leaves).expect("scores")
         },
     );
 

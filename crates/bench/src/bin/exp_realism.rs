@@ -121,7 +121,13 @@ fn main() {
     }
     csv.finish().expect("flush");
 
-    let get = |n: &str| &results.iter().find(|(name, _)| *name == n).expect("present").1;
+    let get = |n: &str| {
+        &results
+            .iter()
+            .find(|(name, _)| *name == n)
+            .expect("present")
+            .1
+    };
     let poisson = get("poisson");
     let lrd = get("self-similar");
     let bounded = get("bounded");

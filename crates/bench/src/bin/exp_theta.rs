@@ -67,12 +67,10 @@ fn run_theta(theta: u64, medium: MediumConfig) -> ThetaPoint {
     let config = DdcrConfig::for_sources(4, Ticks(100_000))
         .expect("config") // c = 100 µs, horizon = 6.4 ms
         .with_compressed_time(theta);
-    let allocation =
-        StaticAllocation::one_per_source(config.static_tree, 4).expect("allocation");
-    let set = ddcr_traffic::scenario::uniform(4, 12_000, Ticks(40_000_000), 0.01)
-        .expect("shell set"); // engine assembly only; arrivals are explicit
-    let mut engine =
-        network::build_engine(&set, &config, &allocation, medium).expect("engine");
+    let allocation = StaticAllocation::one_per_source(config.static_tree, 4).expect("allocation");
+    let set =
+        ddcr_traffic::scenario::uniform(4, 12_000, Ticks(40_000_000), 0.01).expect("shell set"); // engine assembly only; arrivals are explicit
+    let mut engine = network::build_engine(&set, &config, &allocation, medium).expect("engine");
     engine.add_arrivals(schedule()).expect("arrivals");
     engine
         .run_to_completion(Ticks(10_000_000_000))
@@ -124,7 +122,13 @@ fn main() {
     println!("E9 — compressed-time tradeoff (theta multiplier sweep)");
     println!(
         "{:>6} {:>16} {:>18} {:>14} {:>11} {:>14} {:>11}",
-        "theta", "far done (ms)", "urgent max (us)", "urgent miss", "inversions", "silence", "collisions"
+        "theta",
+        "far done (ms)",
+        "urgent max (us)",
+        "urgent miss",
+        "inversions",
+        "silence",
+        "collisions"
     );
 
     let thetas = [0u64, 1, 4, 16, 64];

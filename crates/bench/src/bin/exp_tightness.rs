@@ -106,10 +106,11 @@ fn main() {
             16,
         )
     );
-    let (max_m, max_c) = coeff_pts
-        .iter()
-        .cloned()
-        .fold((0.0, f64::NEG_INFINITY), |acc, p| if p.1 > acc.1 { p } else { acc });
+    let (max_m, max_c) =
+        coeff_pts.iter().cloned().fold(
+            (0.0, f64::NEG_INFINITY),
+            |acc, p| if p.1 > acc.1 { p } else { acc },
+        );
     println!(
         "coefficient maximal at m = {max_m}: {max_c:.3}% (paper Eq. 14: 9.54% via 3^(1/4)/(2e·ln3) − 1/8 = {:.3}%)",
         100.0 * asymptotic::universal_tightness_constant()

@@ -16,8 +16,11 @@ fn main() {
 
     let mut exact_pts = Vec::new();
     let mut tilde_pts = Vec::new();
-    let mut csv = Csv::create(&results_dir().join("fig1.csv"), &["k", "xi_exact", "xi_tilde"])
-        .expect("create fig1.csv");
+    let mut csv = Csv::create(
+        &results_dir().join("fig1.csv"),
+        &["k", "xi_exact", "xi_tilde"],
+    )
+    .expect("create fig1.csv");
 
     println!("Fig. 1 — worst-case search times, 64-leaf balanced quaternary tree (m = 4)");
     println!("{:>4} {:>10} {:>12}", "k", "xi_k^64", "xi~_k^64");
@@ -59,8 +62,15 @@ fn main() {
 
     // The figure's qualitative content, checked numerically:
     let peak_k = closed_form::peak_k(shape);
-    println!("peak of exact curve at k = 2t/m = {peak_k}: xi = {}", closed_form::xi_peak(shape));
-    println!("xi_2 = {} (Eq. 5), xi_64 = {} (Eq. 7)", closed_form::xi_two(shape), closed_form::xi_full(shape));
+    println!(
+        "peak of exact curve at k = 2t/m = {peak_k}: xi = {}",
+        closed_form::xi_peak(shape)
+    );
+    println!(
+        "xi_2 = {} (Eq. 5), xi_64 = {} (Eq. 7)",
+        closed_form::xi_two(shape),
+        closed_form::xi_full(shape)
+    );
     let max_gap = asymptotic::max_gap(shape).expect("gap measurement");
     println!(
         "max (xi~ - xi) over even k in [2, 2t/m] = {:.2} slots = {:.2}% of t \

@@ -55,7 +55,11 @@ fn main() {
     );
     println!(
         "paper's claim `quaternary <= binary for all k in [2, 64]`: {}",
-        if quaternary_always_leq { "HOLDS" } else { "VIOLATED" }
+        if quaternary_always_leq {
+            "HOLDS"
+        } else {
+            "VIOLATED"
+        }
     );
     assert!(quaternary_always_leq, "Fig. 2 claim failed to reproduce");
     println!("wrote results/fig2.csv");

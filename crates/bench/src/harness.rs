@@ -166,8 +166,7 @@ pub fn run_protocol(
                 .map_err(|e| e.to_string())?;
             let mut engine = network::build_engine(set, config, &allocation, medium)
                 .map_err(|e| e.to_string())?;
-            let (time, static_) =
-                network::xi_bound_tables(config).map_err(|e| e.to_string())?;
+            let (time, static_) = network::xi_bound_tables(config).map_err(|e| e.to_string())?;
             engine.set_xi_bounds(time, static_);
             run_engine(&mut engine, schedule, budget, name, scheduled)
         }
@@ -254,7 +253,9 @@ mod tests {
 
     fn workload() -> (MessageSet, Vec<Message>) {
         let set = scenario::uniform(4, 8_000, Ticks(5_000_000), 0.2).unwrap();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(2_000_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(2_000_000))
+            .unwrap();
         (set, schedule)
     }
 
@@ -268,8 +269,7 @@ mod tests {
             ProtocolKind::Dcr(QueueDiscipline::Fifo),
             ProtocolKind::NpEdf,
         ];
-        for summary in compare(&kinds, &set, &schedule, medium, Ticks(1_000_000_000)).unwrap()
-        {
+        for summary in compare(&kinds, &set, &schedule, medium, Ticks(1_000_000_000)).unwrap() {
             assert!(summary.completed, "{} did not complete", summary.protocol);
             assert_eq!(summary.delivered, summary.scheduled, "{}", summary.protocol);
         }
@@ -279,9 +279,14 @@ mod tests {
     fn oracle_has_no_collisions_and_lowest_latency() {
         let (set, schedule) = workload();
         let medium = MediumConfig::ethernet();
-        let oracle =
-            run_protocol(&ProtocolKind::NpEdf, &set, &schedule, medium, Ticks(1_000_000_000))
-                .unwrap();
+        let oracle = run_protocol(
+            &ProtocolKind::NpEdf,
+            &set,
+            &schedule,
+            medium,
+            Ticks(1_000_000_000),
+        )
+        .unwrap();
         let ddcr = run_protocol(
             &ProtocolKind::Ddcr(default_ddcr_config(&set, &medium)),
             &set,

@@ -33,12 +33,7 @@ pub enum Json {
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn object(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-        )
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
     /// Looks up a key on an object; `None` on other variants.
@@ -232,10 +227,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                byte as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", byte as char, self.pos))
         }
     }
 
@@ -356,9 +348,7 @@ impl Parser<'_> {
                     // Multi-byte UTF-8 sequences pass through untouched.
                     let start = self.pos;
                     self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                    {
+                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
                         self.pos += 1;
                     }
                     out.push_str(

@@ -52,10 +52,7 @@ impl Csv {
     ///
     /// Returns any I/O error from the underlying writer.
     pub fn row<D: Display>(&mut self, cells: &[D]) -> std::io::Result<()> {
-        let rendered: Vec<String> = cells
-            .iter()
-            .map(|c| escape_cell(&c.to_string()))
-            .collect();
+        let rendered: Vec<String> = cells.iter().map(|c| escape_cell(&c.to_string())).collect();
         writeln!(self.out, "{}", rendered.join(","))
     }
 
@@ -82,7 +79,15 @@ impl Csv {
 pub fn write_sweep_stats(path: &Path, report: &crate::sweep::SweepReport) -> std::io::Result<()> {
     let mut csv = Csv::create(
         path,
-        &["job", "label", "protocol", "seed", "wall_ms", "cache_hits", "cache_misses"],
+        &[
+            "job",
+            "label",
+            "protocol",
+            "seed",
+            "wall_ms",
+            "cache_hits",
+            "cache_misses",
+        ],
     )?;
     for o in &report.outcomes {
         csv.row(&[
@@ -122,7 +127,14 @@ pub fn write_indexed_stats<T>(
 ) -> std::io::Result<()> {
     let mut csv = Csv::create(
         path,
-        &["job", "label", "seed", "wall_ms", "cache_hits", "cache_misses"],
+        &[
+            "job",
+            "label",
+            "seed",
+            "wall_ms",
+            "cache_hits",
+            "cache_misses",
+        ],
     )?;
     for o in &report.outcomes {
         csv.row(&[

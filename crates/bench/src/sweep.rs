@@ -133,10 +133,12 @@ impl<T> IndexedReport<T> {
     /// Total cache traffic across all jobs.
     #[must_use]
     pub fn cache_totals(&self) -> CacheStats {
-        self.outcomes.iter().fold(CacheStats::default(), |acc, o| CacheStats {
-            hits: acc.hits + o.cache.hits,
-            misses: acc.misses + o.cache.misses,
-        })
+        self.outcomes
+            .iter()
+            .fold(CacheStats::default(), |acc, o| CacheStats {
+                hits: acc.hits + o.cache.hits,
+                misses: acc.misses + o.cache.misses,
+            })
     }
 
     /// Sum of per-job wall-clock times (the sequential-equivalent cost;
@@ -357,10 +359,12 @@ impl SweepReport {
     /// Total cache traffic across all jobs.
     #[must_use]
     pub fn cache_totals(&self) -> CacheStats {
-        self.outcomes.iter().fold(CacheStats::default(), |acc, o| CacheStats {
-            hits: acc.hits + o.cache.hits,
-            misses: acc.misses + o.cache.misses,
-        })
+        self.outcomes
+            .iter()
+            .fold(CacheStats::default(), |acc, o| CacheStats {
+                hits: acc.hits + o.cache.hits,
+                misses: acc.misses + o.cache.misses,
+            })
     }
 
     /// Sum of per-job wall-clock times (sequential-equivalent cost).
@@ -395,14 +399,23 @@ mod tests {
     fn tiny_grid() -> SweepGrid {
         let medium = MediumConfig::ethernet();
         let set = scenario::uniform(4, 8_000, Ticks(5_000_000), 0.2).unwrap();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(2_000_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(2_000_000))
+            .unwrap();
         let kinds = [
             ProtocolKind::Ddcr(crate::harness::default_ddcr_config(&set, &medium)),
             ProtocolKind::CsmaCd(QueueDiscipline::Fifo, 7),
             ProtocolKind::NpEdf,
         ];
         let mut grid = SweepGrid::new();
-        grid.push_comparison("uniform", &kinds, &set, &schedule, medium, Ticks(1_000_000_000));
+        grid.push_comparison(
+            "uniform",
+            &kinds,
+            &set,
+            &schedule,
+            medium,
+            Ticks(1_000_000_000),
+        );
         grid
     }
 

@@ -214,15 +214,18 @@ pub fn check_scope(scope: &Scope, slot_budget: u64) -> CheckReport {
 
 /// Exhaustively checks every scenario in the scope under the given
 /// collision semantics.
-pub fn check_scope_with_mode(
-    scope: &Scope,
-    slot_budget: u64,
-    mode: CollisionMode,
-) -> CheckReport {
+pub fn check_scope_with_mode(scope: &Scope, slot_budget: u64, mode: CollisionMode) -> CheckReport {
     let mut report = CheckReport::default();
     for (index, scenario) in scope.scenarios().enumerate() {
         report.scenarios += 1;
-        check_scenario(scope.stations, index, &scenario, slot_budget, mode, &mut report);
+        check_scenario(
+            scope.stations,
+            index,
+            &scenario,
+            slot_budget,
+            mode,
+            &mut report,
+        );
     }
     report
 }
@@ -352,8 +355,10 @@ pub fn check_scenario(
         sources.sort_unstable();
         sources.dedup();
         let distinct_sources = sources.len() == scenario.len();
-        let mut dms: Vec<u64> =
-            scenario.iter().map(|m| m.absolute_deadline().as_u64()).collect();
+        let mut dms: Vec<u64> = scenario
+            .iter()
+            .map(|m| m.absolute_deadline().as_u64())
+            .collect();
         dms.sort_unstable();
         let separated = dms.windows(2).all(|p| p[1] - p[0] >= 2 * c);
         all_zero && distinct_sources && separated
@@ -525,8 +530,7 @@ pub fn check_scenario_with_faults(
             })
             .collect();
         let (obs, advance) = medium.resolve(&frames);
-        let (obs, advance, _slot_faults) =
-            plan.apply(step, Ticks(medium.slot_ticks), obs, advance);
+        let (obs, advance, _slot_faults) = plan.apply(step, Ticks(medium.slot_ticks), obs, advance);
         let next_free = now + advance;
         match obs {
             Observation::Busy(f)
@@ -813,8 +817,7 @@ pub fn check_scenario_with_membership(
             })
             .collect();
         let (obs, advance) = medium.resolve(&frames);
-        let (obs, advance, _slot_faults) =
-            plan.apply(step, Ticks(medium.slot_ticks), obs, advance);
+        let (obs, advance, _slot_faults) = plan.apply(step, Ticks(medium.slot_ticks), obs, advance);
         let next_free = now + advance;
         match obs {
             Observation::Busy(f)
@@ -1085,8 +1088,7 @@ mod tests {
     #[test]
     fn small_scope_is_safe_under_membership_churn_and_faults() {
         let scope = Scope::small();
-        let report =
-            check_scope_with_membership(&scope, 3_000, CollisionMode::Destructive, 42);
+        let report = check_scope_with_membership(&scope, 3_000, CollisionMode::Destructive, 42);
         assert_eq!(report.scenarios, scope.scenario_count());
         assert!(
             report.clean(),
@@ -1106,8 +1108,7 @@ mod tests {
     #[test]
     fn membership_checker_holds_under_arbitration_too() {
         let scope = Scope::small();
-        let report =
-            check_scope_with_membership(&scope, 3_000, CollisionMode::Arbitrating, 7);
+        let report = check_scope_with_membership(&scope, 3_000, CollisionMode::Arbitrating, 7);
         assert!(
             report.clean(),
             "violations: {:?}",

@@ -143,8 +143,7 @@ mod tests {
         };
         let mut seen = std::collections::HashSet::new();
         for s in scope.scenarios() {
-            let key: Vec<(u32, u64)> =
-                s.iter().map(|m| (m.source.0, m.arrival.as_u64())).collect();
+            let key: Vec<(u32, u64)> = s.iter().map(|m| (m.source.0, m.arrival.as_u64())).collect();
             seen.insert(key);
         }
         // 4 per-message choices, 2 messages → 16 distinct scenarios.

@@ -6,8 +6,7 @@
 
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
-    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station,
-    Ticks,
+    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station, Ticks,
 };
 
 const SLOT: u64 = 512;
@@ -174,5 +173,8 @@ fn dropped_observations_are_detected_as_divergence() {
 fn mute_station_is_detected_as_liveness_failure() {
     let mut stations = network(3, &[(2, Fault::Mute)]);
     let (_, drained) = drive(&mut stations, burst(3), 5_000);
-    assert!(!drained, "a swallowed message must show up as undrained backlog");
+    assert!(
+        !drained,
+        "a swallowed message must show up as undrained backlog"
+    );
 }

@@ -3,7 +3,9 @@
 
 use crate::args::{ArgError, Args};
 use ddcr_baseline::QueueDiscipline;
-use ddcr_core::{dimensioning, feasibility, federate, multibus, network, DdcrConfig, StaticAllocation};
+use ddcr_core::{
+    dimensioning, feasibility, federate, multibus, network, DdcrConfig, StaticAllocation,
+};
 use ddcr_sim::federation::{FederationFaultSpec, FederationOptions};
 use ddcr_sim::{
     CollisionMode, Engine, FaultPlan, FaultRates, JsonlSink, MediumConfig, Message, SimMetrics,
@@ -269,8 +271,7 @@ fn cmd_witness(args: &Args) -> Result<String, ArgError> {
     args.allow_only(&["m", "n", "k"])?;
     let shape = shape_from(args)?;
     let k: u64 = args.require_typed("k")?;
-    let leaves =
-        witness::worst_case_witness(shape, k).map_err(|e| ArgError(e.to_string()))?;
+    let leaves = witness::worst_case_witness(shape, k).map_err(|e| ArgError(e.to_string()))?;
     let xi = closed_form::xi_closed(shape, k).map_err(|e| ArgError(e.to_string()))?;
     Ok(format!(
         "{shape}, k = {k}: xi = {xi} slots\nworst-case active leaves: {leaves:?}\n"
@@ -283,7 +284,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let opts = crate::serve::Options {
         sources: args.require_typed("sources").map_err(|e| e.to_string())?,
         medium: medium_from(args)?,
-        class_width: Ticks(args.get_or("class-width", 100_000).map_err(|e| e.to_string())?),
+        class_width: Ticks(
+            args.get_or("class-width", 100_000)
+                .map_err(|e| e.to_string())?,
+        ),
         join_nu: args.get_or("join-nu", 1).map_err(|e| e.to_string())?,
         channels: args.get_or("channels", 1).map_err(|e| e.to_string())?,
     };
@@ -316,8 +320,7 @@ fn set_from(args: &Args) -> Result<MessageSet, String> {
             let load: f64 = args.get_or("load", 0.3).map_err(|e| e.to_string())?;
             let d_ms: u64 = args.get_or("deadline-ms", 5).map_err(|e| e.to_string())?;
             let bits: u64 = args.get_or("bits", 8_000).map_err(|e| e.to_string())?;
-            scenario::uniform(z, bits, Ticks(d_ms * 1_000_000), load)
-                .map_err(|e| e.to_string())
+            scenario::uniform(z, bits, Ticks(d_ms * 1_000_000), load).map_err(|e| e.to_string())
         }
         other => Err(format!(
             "unknown scenario `{other}` (video|atc|stock|uniform)"
@@ -337,8 +340,15 @@ fn setup(
 }
 
 fn cmd_feasibility(args: &Args) -> Result<String, String> {
-    args.allow_only(&["scenario", "sources", "load", "deadline-ms", "bits", "medium"])
-        .map_err(|e| e.to_string())?;
+    args.allow_only(&[
+        "scenario",
+        "sources",
+        "load",
+        "deadline-ms",
+        "bits",
+        "medium",
+    ])
+    .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
     let (config, allocation) = setup(&set, &medium)?;
@@ -375,18 +385,29 @@ fn cmd_feasibility(args: &Args) -> Result<String, String> {
     let _ = writeln!(
         out,
         "instance: {}",
-        if report.feasible() { "FEASIBLE" } else { "INFEASIBLE" }
+        if report.feasible() {
+            "FEASIBLE"
+        } else {
+            "INFEASIBLE"
+        }
     );
     Ok(out)
 }
 
 fn cmd_dimension(args: &Args) -> Result<String, String> {
-    args.allow_only(&["scenario", "sources", "load", "deadline-ms", "bits", "medium"])
-        .map_err(|e| e.to_string())?;
+    args.allow_only(&[
+        "scenario",
+        "sources",
+        "load",
+        "deadline-ms",
+        "bits",
+        "medium",
+    ])
+    .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
-    let candidates = dimensioning::dimension(&set, &medium, &Default::default())
-        .map_err(|e| e.to_string())?;
+    let candidates =
+        dimensioning::dimension(&set, &medium, &Default::default()).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "top candidates (of {} evaluated):", candidates.len());
     let _ = writeln!(
@@ -572,8 +593,16 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_multibus(args: &Args) -> Result<String, String> {
-    args.allow_only(&["scenario", "sources", "load", "deadline-ms", "bits", "medium", "buses"])
-        .map_err(|e| e.to_string())?;
+    args.allow_only(&[
+        "scenario",
+        "sources",
+        "load",
+        "deadline-ms",
+        "bits",
+        "medium",
+        "buses",
+    ])
+    .map_err(|e| e.to_string())?;
     let set = set_from(args)?;
     let medium = medium_from(args)?;
     let buses: usize = args.get_or("buses", 2).map_err(|e| e.to_string())?;
@@ -589,7 +618,11 @@ fn cmd_multibus(args: &Args) -> Result<String, String> {
             "bus {bus}: {} classes, load {:.3}, {}",
             projected.classes().len(),
             projected.offered_load(),
-            if report.feasible() { "FEASIBLE" } else { "INFEASIBLE" }
+            if report.feasible() {
+                "FEASIBLE"
+            } else {
+                "INFEASIBLE"
+            }
         );
     }
     let _ = writeln!(
@@ -681,14 +714,21 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     let _ = writeln!(
         out,
         "{:>7} {:>7} {:>8} {:>5} {:>4} {:>10} {:>9} {:>9} {:>9} {:>7} {:>11} {:>7}",
-        "channel", "classes", "load", "u", "v", "p2_slots", "feasible", "scheduled", "delivered",
-        "misses", "xi_violate", "faults"
+        "channel",
+        "classes",
+        "load",
+        "u",
+        "v",
+        "p2_slots",
+        "feasible",
+        "scheduled",
+        "delivered",
+        "misses",
+        "xi_violate",
+        "faults"
     );
     for (budget, outcome) in budgets.iter().zip(&report.channels) {
-        let violations = outcome
-            .metrics
-            .as_ref()
-            .map_or(0, |m| m.violations_total);
+        let violations = outcome.metrics.as_ref().map_or(0, |m| m.violations_total);
         let _ = writeln!(
             out,
             "{:>7} {:>7} {:>8.3} {:>5} {:>4} {:>10.1} {:>9} {:>9} {:>9} {:>7} {:>11} {:>7}",
@@ -719,8 +759,7 @@ fn cmd_run(args: &Args) -> Result<String, String> {
         report.completed()
     );
     if let Some(path) = args.get("trace-out") {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
+        let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         let mut writer = std::io::BufWriter::new(file);
         let events = report
             .write_trace(&mut writer)
@@ -819,14 +858,17 @@ fn cmd_run_segments(args: &Args) -> Result<String, String> {
     let _ = writeln!(
         out,
         "{:>7} {:>9} {:>8} {:>9} {:>7} {:>11} {:>7} {:>7}",
-        "segment", "scheduled", "injected", "delivered", "misses", "xi_violate", "faults",
+        "segment",
+        "scheduled",
+        "injected",
+        "delivered",
+        "misses",
+        "xi_violate",
+        "faults",
         "drained"
     );
     for outcome in &report.segments {
-        let violations = outcome
-            .metrics
-            .as_ref()
-            .map_or(0, |m| m.violations_total);
+        let violations = outcome.metrics.as_ref().map_or(0, |m| m.violations_total);
         let _ = writeln!(
             out,
             "{:>7} {:>9} {:>8} {:>9} {:>7} {:>11} {:>7} {:>7}",
@@ -851,8 +893,7 @@ fn cmd_run_segments(args: &Args) -> Result<String, String> {
         report.completed()
     );
     if let Some(path) = args.get("trace-out") {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
+        let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         let mut writer = std::io::BufWriter::new(file);
         let events = report
             .write_trace(&mut writer)
@@ -889,9 +930,7 @@ fn mode_from(args: &Args) -> Result<CollisionMode, String> {
     match args.get("mode").unwrap_or("destructive") {
         "destructive" => Ok(CollisionMode::Destructive),
         "arbitrating" => Ok(CollisionMode::Arbitrating),
-        other => Err(format!(
-            "unknown mode `{other}` (destructive|arbitrating)"
-        )),
+        other => Err(format!("unknown mode `{other}` (destructive|arbitrating)")),
     }
 }
 
@@ -908,7 +947,10 @@ fn cmd_check(args: &Args) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let scope = scope_from(args.get("scope").unwrap_or("small"))?;
     let mode = mode_from(args)?;
-    if args.get_or("membership", false).map_err(|e| e.to_string())? {
+    if args
+        .get_or("membership", false)
+        .map_err(|e| e.to_string())?
+    {
         return cmd_check_membership(&scope, args);
     }
     let report = ddcr_check::check_scope_with_mode(&scope, 5_000, mode);
@@ -1018,8 +1060,8 @@ fn cmd_faults(args: &Args) -> Result<String, String> {
     let n = schedule.len();
     let plan = FaultPlan::generate(seed, set.sources(), horizon_slots, &rates);
     let injected = plan.len();
-    let mut engine = network::build_engine(&set, &config, &allocation, medium)
-        .map_err(|e| e.to_string())?;
+    let mut engine =
+        network::build_engine(&set, &config, &allocation, medium).map_err(|e| e.to_string())?;
     engine.set_fault_plan(plan);
     engine.add_arrivals(schedule).map_err(|e| e.to_string())?;
     let _ = engine.run_to_completion(Ticks(1_000_000_000_000));
@@ -1042,7 +1084,8 @@ fn cmd_faults(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_faults_check(args: &Args) -> Result<String, String> {
-    args.allow_only(&["check", "mode", "seed"]).map_err(|e| e.to_string())?;
+    args.allow_only(&["check", "mode", "seed"])
+        .map_err(|e| e.to_string())?;
     let scope = scope_from(args.require("check").map_err(|e| e.to_string())?)?;
     let mode = mode_from(args)?;
     let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
@@ -1099,8 +1142,8 @@ fn cmd_metrics(args: &Args) -> Result<String, String> {
     let (config, allocation) = setup(&set, &medium)?;
     let schedule = peak_schedule(&set, horizon)?;
     let n = schedule.len();
-    let mut engine = network::build_engine(&set, &config, &allocation, medium)
-        .map_err(|e| e.to_string())?;
+    let mut engine =
+        network::build_engine(&set, &config, &allocation, medium).map_err(|e| e.to_string())?;
     let (time, static_) = network::xi_bound_tables(&config).map_err(|e| e.to_string())?;
     engine.set_xi_bounds(time, static_);
     engine.set_retention(Some(retain), Some(retain));
@@ -1206,11 +1249,9 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     // Contention (tree-search) fast-forward toggles independently of the
     // idle stepper so a trace divergence can be bisected to one fast path.
     // `--stepper reference` alone still disables it (full reference run).
-    let contention_skip = args.get("contention-skip").unwrap_or(if fast_forward {
-        "on"
-    } else {
-        "off"
-    });
+    let contention_skip =
+        args.get("contention-skip")
+            .unwrap_or(if fast_forward { "on" } else { "off" });
     let contention_fast_forward = match contention_skip {
         "on" => true,
         "off" => false,
@@ -1218,11 +1259,9 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     };
     // The active-set scheduler is the third independent switch of the
     // bisection matrix, with the same default rule.
-    let active_set_arg = args.get("active-set").unwrap_or(if fast_forward {
-        "on"
-    } else {
-        "off"
-    });
+    let active_set_arg = args
+        .get("active-set")
+        .unwrap_or(if fast_forward { "on" } else { "off" });
     let active_set = match active_set_arg {
         "on" => true,
         "off" => false,
@@ -1230,13 +1269,13 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     };
     let (config, allocation) = setup(&set, &medium)?;
     let schedule = peak_schedule(&set, horizon)?;
-    let mut engine = network::build_engine(&set, &config, &allocation, medium)
-        .map_err(|e| e.to_string())?;
+    let mut engine =
+        network::build_engine(&set, &config, &allocation, medium).map_err(|e| e.to_string())?;
     engine.set_fast_forward(fast_forward);
     engine.set_contention_fast_forward(contention_fast_forward);
     engine.set_active_set(active_set);
-    let file = std::fs::File::create(out_path)
-        .map_err(|e| format!("cannot create {out_path}: {e}"))?;
+    let file =
+        std::fs::File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     engine.set_trace_sink(JsonlSink::new(Box::new(std::io::BufWriter::new(file))));
     engine.add_arrivals(schedule).map_err(|e| e.to_string())?;
     let _ = engine.run_to_completion(Ticks(1_000_000_000_000));
@@ -1261,7 +1300,8 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
 fn cmd_bench_engine(args: &Args) -> Result<String, String> {
     use ddcr_bench::enginebench::{check_report, run_suite, Profile, REPORT_PATH};
 
-    args.allow_only(&["profile", "out"]).map_err(|e| e.to_string())?;
+    args.allow_only(&["profile", "out"])
+        .map_err(|e| e.to_string())?;
     let profile = Profile::from_arg(args.get("profile").unwrap_or("smoke"))?;
     let path = args.get("out").unwrap_or(REPORT_PATH);
     let report = run_suite(profile);
@@ -1524,7 +1564,13 @@ mod tests {
             "--horizon-ms",
             "4",
         ];
-        let mut run_args = vec!["run", "--channels", "1", "--trace-out", run_path.to_str().unwrap()];
+        let mut run_args = vec![
+            "run",
+            "--channels",
+            "1",
+            "--trace-out",
+            run_path.to_str().unwrap(),
+        ];
         run_args.extend_from_slice(&common);
         run_line(&run_args).unwrap();
         let mut trace_args = vec!["trace", "--out", trace_path.to_str().unwrap()];
@@ -1566,7 +1612,16 @@ mod tests {
         let a = line();
         assert!(a.contains("fabric:"), "{a}");
         assert_eq!(a, line(), "faulted multichannel run must replay by seed");
-        assert!(run_line(&["run", "--scenario", "uniform", "--sources", "2", "--channels", "0"]).is_err());
+        assert!(run_line(&[
+            "run",
+            "--scenario",
+            "uniform",
+            "--sources",
+            "2",
+            "--channels",
+            "0"
+        ])
+        .is_err());
     }
 
     #[test]
@@ -1634,7 +1689,13 @@ mod tests {
             "--horizon-ms",
             "4",
         ];
-        let mut run_args = vec!["run", "--segments", "1", "--trace-out", run_path.to_str().unwrap()];
+        let mut run_args = vec![
+            "run",
+            "--segments",
+            "1",
+            "--trace-out",
+            run_path.to_str().unwrap(),
+        ];
         run_args.extend_from_slice(&common);
         run_line(&run_args).unwrap();
         let mut trace_args = vec!["trace", "--out", trace_path.to_str().unwrap()];
@@ -1697,8 +1758,7 @@ mod tests {
 
     #[test]
     fn check_supports_both_collision_modes() {
-        let out =
-            run_line(&["check", "--scope", "small", "--mode", "arbitrating"]).unwrap();
+        let out = run_line(&["check", "--scope", "small", "--mode", "arbitrating"]).unwrap();
         assert!(out.contains("all properties hold"), "{out}");
         assert!(run_line(&["check", "--mode", "psychic"]).is_err());
     }
@@ -1777,7 +1837,10 @@ mod tests {
             "5",
         ])
         .unwrap();
-        assert!(retained.contains("retained 5 delivery records"), "{retained}");
+        assert!(
+            retained.contains("retained 5 delivery records"),
+            "{retained}"
+        );
     }
 
     #[test]
@@ -1807,7 +1870,10 @@ mod tests {
         metrics.on_slot(tts(100), 1, 0, false);
         assert_eq!(metrics.violations_total, 1);
         let err = xi_verdict(String::new(), &metrics).unwrap_err();
-        assert!(err.contains("EXCEEDED the analytic bound 1 time(s)"), "{err}");
+        assert!(
+            err.contains("EXCEEDED the analytic bound 1 time(s)"),
+            "{err}"
+        );
         assert!(err.contains("time tree"), "{err}");
         // And the passing side stays `Ok` with the PASS marker CI greps for.
         let clean = SimMetrics::new(1);
@@ -1826,8 +1892,7 @@ mod tests {
         for stepper in ["fast", "reference"] {
             for contention_skip in ["on", "off"] {
                 for active_set in ["on", "off"] {
-                    let path =
-                        dir.join(format!("{stepper}_{contention_skip}_{active_set}.jsonl"));
+                    let path = dir.join(format!("{stepper}_{contention_skip}_{active_set}.jsonl"));
                     matrix.push((stepper, contention_skip, active_set, path));
                 }
             }
@@ -1916,7 +1981,16 @@ mod tests {
     #[test]
     fn typos_are_rejected() {
         assert!(run_line(&["xi", "--m", "4", "--n", "3", "--q", "9"]).is_err());
-        assert!(run_line(&["simulate", "--scenario", "uniform", "--sources", "2", "--protocol", "nope"]).is_err());
+        assert!(run_line(&[
+            "simulate",
+            "--scenario",
+            "uniform",
+            "--sources",
+            "2",
+            "--protocol",
+            "nope"
+        ])
+        .is_err());
         assert!(run_line(&["feasibility", "--scenario", "weird", "--sources", "2"]).is_err());
     }
 

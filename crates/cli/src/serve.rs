@@ -124,7 +124,11 @@ fn flow_request(line: &str) -> Result<FlowRequest, String> {
 fn decision_json(op: &str, decision: &AdmissionDecision, forced: bool) -> String {
     let forced_part = if forced { ",\"forced\":true" } else { "" };
     match decision {
-        AdmissionDecision::Admitted { class, bound, slack } => format!(
+        AdmissionDecision::Admitted {
+            class,
+            bound,
+            slack,
+        } => format!(
             "{{\"ok\":true,\"op\":\"{op}\",\"decision\":\"admit\",\"class\":{},\
              \"bound\":{bound:.3},\"slack\":{slack:.3}{forced_part}}}",
             class.0
@@ -224,11 +228,10 @@ pub fn run_session<R: BufRead, W: Write>(
     out: &mut W,
     opts: &Options,
 ) -> Result<bool, String> {
-    let config = DdcrConfig::for_sources(opts.sources, opts.class_width)
+    let config =
+        DdcrConfig::for_sources(opts.sources, opts.class_width).map_err(|e| e.to_string())?;
+    let mut membership = Membership::new(config, opts.medium, opts.sources, opts.join_nu)
         .map_err(|e| e.to_string())?;
-    let mut membership =
-        Membership::new(config, opts.medium, opts.sources, opts.join_nu)
-            .map_err(|e| e.to_string())?;
     for line in input.lines() {
         let line = line.map_err(|e| format!("stdin read failed: {e}"))?;
         let trimmed = line.trim();

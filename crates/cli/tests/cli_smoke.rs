@@ -69,7 +69,10 @@ fn metrics_pass_exits_zero_and_command_errors_exit_nonzero() {
     ]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("within the analytic bound: PASS"), "{stdout}");
+    assert!(
+        stdout.contains("within the analytic bound: PASS"),
+        "{stdout}"
+    );
     // `--stepper` belongs to `trace`; `metrics` rejects it inside the
     // command (not the parser), so this drives the same `Err` arm of `main`
     // a ξ violation would.

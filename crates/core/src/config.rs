@@ -163,10 +163,22 @@ mod tests {
     #[test]
     fn for_sources_picks_smallest_static_tree() {
         let c = Ticks(100_000);
-        assert_eq!(DdcrConfig::for_sources(3, c).unwrap().static_tree.leaves(), 4);
-        assert_eq!(DdcrConfig::for_sources(4, c).unwrap().static_tree.leaves(), 4);
-        assert_eq!(DdcrConfig::for_sources(5, c).unwrap().static_tree.leaves(), 16);
-        assert_eq!(DdcrConfig::for_sources(64, c).unwrap().static_tree.leaves(), 64);
+        assert_eq!(
+            DdcrConfig::for_sources(3, c).unwrap().static_tree.leaves(),
+            4
+        );
+        assert_eq!(
+            DdcrConfig::for_sources(4, c).unwrap().static_tree.leaves(),
+            4
+        );
+        assert_eq!(
+            DdcrConfig::for_sources(5, c).unwrap().static_tree.leaves(),
+            16
+        );
+        assert_eq!(
+            DdcrConfig::for_sources(64, c).unwrap().static_tree.leaves(),
+            64
+        );
     }
 
     #[test]

@@ -157,8 +157,7 @@ pub fn dimension(
                         let Ok(allocation) = strategy.build(static_tree, z) else {
                             continue;
                         };
-                        let Ok(report) =
-                            feasibility::evaluate(set, &config, &allocation, medium)
+                        let Ok(report) = feasibility::evaluate(set, &config, &allocation, medium)
                         else {
                             continue;
                         };
@@ -299,9 +298,11 @@ mod tests {
     fn max_provable_load_is_positive_and_below_capacity() {
         let set = scenario::uniform(4, 8_000, Ticks(10_000_000), 0.2).unwrap();
         let medium = MediumConfig::ethernet();
-        let max_load =
-            max_provable_load(&set, &medium, &SearchSpace::default(), 0.02).unwrap();
-        assert!(max_load > 0.2, "should prove more than the base 20 %: {max_load}");
+        let max_load = max_provable_load(&set, &medium, &SearchSpace::default(), 0.02).unwrap();
+        assert!(
+            max_load > 0.2,
+            "should prove more than the base 20 %: {max_load}"
+        );
         assert!(max_load < 1.0);
     }
 

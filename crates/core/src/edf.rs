@@ -336,7 +336,9 @@ mod tests {
         let mut model: Vec<Message> = Vec::new();
         let mut state = 0x2545_f491_4f6c_dd1du64;
         for i in 0..200u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let deadline = 50 + (state >> 33) % 40;
             let m = msg(i, i, deadline);
             q.push(m);

@@ -141,8 +141,7 @@ mod tests {
             .build(Ticks(3_000_000))
             .expect("schedule");
         let run = |workers: usize| {
-            let mut options =
-                FederationOptions::new(Ticks(1_000_000), Ticks(1_000_000_000_000));
+            let mut options = FederationOptions::new(Ticks(1_000_000), Ticks(1_000_000_000_000));
             options.workers = workers;
             options.metrics = true;
             run_segments(

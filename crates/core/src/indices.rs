@@ -77,10 +77,7 @@ impl StaticAllocation {
                 static_tree.leaves()
             )));
         }
-        Self::new(
-            static_tree,
-            (0..u64::from(z)).map(|i| vec![i]).collect(),
-        )
+        Self::new(static_tree, (0..u64::from(z)).map(|i| vec![i]).collect())
     }
 
     /// Splits all `q` leaves round-robin over `z` sources: source `i` owns

@@ -165,8 +165,11 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 dms.push((seed >> 33) % 1000 + 1);
             }
-            let deliveries: Vec<Delivery> =
-                dms.iter().enumerate().map(|(i, &d)| mk(i as u64, d)).collect();
+            let deliveries: Vec<Delivery> = dms
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| mk(i as u64, d))
+                .collect();
             let mut reference = 0u64;
             for i in 0..len {
                 for j in i + 1..len {

@@ -328,7 +328,10 @@ mod tests {
             let bound = closed_form::xi_closed(sh, k).unwrap();
             // +1 because ξ includes the root collision the automaton skips;
             // the automaton can also pay m empties on an empty tree.
-            assert!(slots <= bound + sh.branching(), "seed {seed}: {slots} > {bound}");
+            assert!(
+                slots <= bound + sh.branching(),
+                "seed {seed}: {slots} > {bound}"
+            );
         }
     }
 

@@ -22,11 +22,7 @@ pub enum RunLimit {
 /// such that the scheduling horizon `c·F` covers the largest relative
 /// deadline (so no freshly arrived message ever sits a time tree search
 /// out), but never below one slot time.
-pub fn recommended_class_width(
-    set: &MessageSet,
-    time_leaves: u64,
-    medium: &MediumConfig,
-) -> Ticks {
+pub fn recommended_class_width(set: &MessageSet, time_leaves: u64, medium: &MediumConfig) -> Ticks {
     let max_d = set
         .classes()
         .iter()
@@ -47,7 +43,9 @@ pub fn recommended_class_width(
 /// tree shape.
 pub fn xi_bound_tables(config: &DdcrConfig) -> Result<(XiBoundTable, XiBoundTable), DdcrError> {
     let cache = ddcr_tree::cache::global();
-    let time = cache.worst_case(config.time_tree).map_err(DdcrError::Tree)?;
+    let time = cache
+        .worst_case(config.time_tree)
+        .map_err(DdcrError::Tree)?;
     let static_ = cache
         .worst_case(config.static_tree)
         .map_err(DdcrError::Tree)?;
@@ -183,7 +181,9 @@ mod tests {
         let set = scenario::uniform(2, 8_000, Ticks(1_000_000), 0.1).unwrap();
         let config = DdcrConfig::for_sources(2, Ticks(31_250)).unwrap();
         let allocation = StaticAllocation::one_per_source(config.static_tree, 2).unwrap();
-        let schedule = ScheduleBuilder::periodic(&set).build(Ticks(10_000_000)).unwrap();
+        let schedule = ScheduleBuilder::periodic(&set)
+            .build(Ticks(10_000_000))
+            .unwrap();
         let stats = run(
             &set,
             schedule,
@@ -234,7 +234,9 @@ mod tests {
         let set = scenario::uniform(2, 8_000, Ticks(1_000_000), 0.5).unwrap();
         let config = DdcrConfig::for_sources(2, Ticks(31_250)).unwrap();
         let allocation = StaticAllocation::one_per_source(config.static_tree, 2).unwrap();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(10_000_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(10_000_000))
+            .unwrap();
         let err = run(
             &set,
             schedule,

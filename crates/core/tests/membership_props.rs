@@ -87,9 +87,17 @@ fn assert_partition_invariants(m: &Membership, z: u32) {
     }
     // Owned + free partitions the leaf set exactly.
     let free = allocation.free_leaves();
-    assert_eq!(owned + free.len() as u64, total, "leaves leaked or invented");
+    assert_eq!(
+        owned + free.len() as u64,
+        total,
+        "leaves leaked or invented"
+    );
     for &leaf in &free {
-        assert_eq!(allocation.owner_of(leaf), None, "free leaf {leaf} has an owner");
+        assert_eq!(
+            allocation.owner_of(leaf),
+            None,
+            "free leaf {leaf} has an owner"
+        );
     }
 }
 

@@ -25,8 +25,7 @@ fn random_set(z: u32, per_source: usize, seed: u64) -> MessageSet {
                 source: SourceId(src),
                 bits: next(1_000..=16_000),
                 deadline: Ticks(next(500_000..=8_000_000)),
-                density: DensityBound::new(next(1..=3), Ticks(next(500_000..=4_000_000)))
-                    .unwrap(),
+                density: DensityBound::new(next(1..=3), Ticks(next(500_000..=4_000_000))).unwrap(),
             });
             id += 1;
         }

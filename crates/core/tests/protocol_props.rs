@@ -4,8 +4,7 @@
 
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_sim::{
-    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station,
-    Ticks,
+    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station, Ticks,
 };
 use proptest::prelude::*;
 

@@ -592,9 +592,18 @@ mod tests {
     #[test]
     fn events_sorted_and_queryable() {
         let plan = FaultPlan::from_events(vec![
-            FaultEvent { slot: 9, kind: FaultKind::EraseFrame },
-            FaultEvent { slot: 2, kind: FaultKind::CorruptSlot },
-            FaultEvent { slot: 2, kind: FaultKind::EraseFrame },
+            FaultEvent {
+                slot: 9,
+                kind: FaultKind::EraseFrame,
+            },
+            FaultEvent {
+                slot: 2,
+                kind: FaultKind::CorruptSlot,
+            },
+            FaultEvent {
+                slot: 2,
+                kind: FaultKind::EraseFrame,
+            },
         ]);
         assert_eq!(plan.events_at(2).len(), 2);
         assert_eq!(plan.events_at(3).len(), 0);
@@ -618,8 +627,7 @@ mod tests {
             slot: 4,
             kind: FaultKind::CorruptSlot,
         }]);
-        let (obs, adv, f) =
-            plan.apply(4, Ticks(512), Observation::Busy(frame(1000)), Ticks(1208));
+        let (obs, adv, f) = plan.apply(4, Ticks(512), Observation::Busy(frame(1000)), Ticks(1208));
         assert_eq!(obs, Observation::Collision { survivor: None });
         assert_eq!(adv, Ticks(512));
         assert!(f.corrupted);
@@ -664,11 +672,16 @@ mod tests {
     #[test]
     fn corruption_wins_over_erasure() {
         let plan = FaultPlan::from_events(vec![
-            FaultEvent { slot: 0, kind: FaultKind::EraseFrame },
-            FaultEvent { slot: 0, kind: FaultKind::CorruptSlot },
+            FaultEvent {
+                slot: 0,
+                kind: FaultKind::EraseFrame,
+            },
+            FaultEvent {
+                slot: 0,
+                kind: FaultKind::CorruptSlot,
+            },
         ]);
-        let (obs, adv, sf) =
-            plan.apply(0, Ticks(512), Observation::Busy(frame(1000)), Ticks(1208));
+        let (obs, adv, sf) = plan.apply(0, Ticks(512), Observation::Busy(frame(1000)), Ticks(1208));
         assert_eq!(obs, Observation::Collision { survivor: None });
         assert_eq!(adv, Ticks(512));
         assert!(sf.corrupted && sf.erased.is_none());
@@ -750,8 +763,14 @@ mod tests {
     #[test]
     fn fence_cap_stops_short_of_the_next_scheduled_event() {
         let plan = FaultPlan::from_events(vec![
-            FaultEvent { slot: 10, kind: FaultKind::CorruptSlot },
-            FaultEvent { slot: 30, kind: FaultKind::EraseFrame },
+            FaultEvent {
+                slot: 10,
+                kind: FaultKind::CorruptSlot,
+            },
+            FaultEvent {
+                slot: 30,
+                kind: FaultKind::EraseFrame,
+            },
         ]);
         // From ordinal 4 the run may cover slots 4..10 only.
         assert_eq!(fence_cap(&plan, None, 4, u64::MAX), 6);
@@ -769,15 +788,27 @@ mod tests {
     fn fence_cap_stops_short_of_a_pending_restart() {
         let plan = FaultPlan::from_events(vec![FaultEvent {
             slot: 0,
-            kind: FaultKind::Crash { station: 0, down_slots: 20 },
+            kind: FaultKind::Crash {
+                station: 0,
+                down_slots: 20,
+            },
         }]);
         // The scheduled event at slot 0 is behind us; only the restart at
         // ordinal 20 fences.
         assert_eq!(fence_cap(&plan, Some(20), 5, u64::MAX), 15);
         // The earliest of restart and event wins.
         let plan2 = FaultPlan::from_events(vec![
-            FaultEvent { slot: 0, kind: FaultKind::Crash { station: 0, down_slots: 20 } },
-            FaultEvent { slot: 12, kind: FaultKind::CorruptSlot },
+            FaultEvent {
+                slot: 0,
+                kind: FaultKind::Crash {
+                    station: 0,
+                    down_slots: 20,
+                },
+            },
+            FaultEvent {
+                slot: 12,
+                kind: FaultKind::CorruptSlot,
+            },
         ]);
         assert_eq!(fence_cap(&plan2, Some(20), 5, u64::MAX), 7);
         assert_eq!(fence_cap(&plan2, Some(9), 5, u64::MAX), 4);
@@ -797,7 +828,11 @@ mod tests {
         let mut down_until = [0u64; 2];
         let mut crashes = 0;
         for e in plan.events() {
-            if let FaultKind::Crash { station, down_slots } = e.kind {
+            if let FaultKind::Crash {
+                station,
+                down_slots,
+            } = e.kind
+            {
                 assert!(
                     e.slot >= down_until[station as usize],
                     "station {station} re-crashed while down at slot {}",

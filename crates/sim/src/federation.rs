@@ -581,19 +581,43 @@ mod tests {
         let schedules = || vec![Vec::new(), Vec::new()];
         let cases: Vec<BridgeRoute> = vec![
             // Too short.
-            BridgeRoute { class: ClassId(1), path: vec![0], entry: vec![] },
+            BridgeRoute {
+                class: ClassId(1),
+                path: vec![0],
+                entry: vec![],
+            },
             // Entry count mismatch.
-            BridgeRoute { class: ClassId(1), path: vec![0, 1], entry: vec![] },
+            BridgeRoute {
+                class: ClassId(1),
+                path: vec![0, 1],
+                entry: vec![],
+            },
             // Unknown segment.
-            BridgeRoute { class: ClassId(1), path: vec![0, 7], entry: vec![SourceId(0)] },
+            BridgeRoute {
+                class: ClassId(1),
+                path: vec![0, 7],
+                entry: vec![SourceId(0)],
+            },
             // Revisited segment.
-            BridgeRoute { class: ClassId(1), path: vec![0, 0], entry: vec![SourceId(0)] },
+            BridgeRoute {
+                class: ClassId(1),
+                path: vec![0, 0],
+                entry: vec![SourceId(0)],
+            },
             // Bridge station off the segment.
-            BridgeRoute { class: ClassId(1), path: vec![0, 1], entry: vec![SourceId(9)] },
+            BridgeRoute {
+                class: ClassId(1),
+                path: vec![0, 1],
+                entry: vec![SourceId(9)],
+            },
         ];
         for route in cases {
-            let err =
-                run_federation(engines(), schedules(), std::slice::from_ref(&route), &options);
+            let err = run_federation(
+                engines(),
+                schedules(),
+                std::slice::from_ref(&route),
+                &options,
+            );
             assert!(
                 matches!(err, Err(SimError::InvalidFederation(_))),
                 "route {route:?} should be rejected"
@@ -688,7 +712,11 @@ mod tests {
             .map(|segment| {
                 (0..30u64)
                     .map(|i| {
-                        let class = if segment == 0 && i % 5 == 0 { 2 } else { segment };
+                        let class = if segment == 0 && i % 5 == 0 {
+                            2
+                        } else {
+                            segment
+                        };
                         message(segment as u64 * 100 + i, (i % 3) as u32, class, i * 3_000)
                     })
                     .collect()

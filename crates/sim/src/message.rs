@@ -6,9 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a message source `s_i` (a station on the broadcast medium).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SourceId(pub u32);
 
 impl fmt::Display for SourceId {
@@ -20,9 +18,7 @@ impl fmt::Display for SourceId {
 /// Identifier of a message class (an element of the set `MSG`): all
 /// instances of a class share bit length, relative deadline and arrival
 /// density bound.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ClassId(pub u32);
 
 impl fmt::Display for ClassId {
@@ -32,9 +28,7 @@ impl fmt::Display for ClassId {
 }
 
 /// Globally unique identifier of one message instance.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MessageId(pub u64);
 
 impl fmt::Display for MessageId {

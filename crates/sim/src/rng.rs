@@ -118,7 +118,10 @@ mod tests {
             seen.insert(job_seed(42, i));
         }
         for i in 0..1000 {
-            assert!(!seen.contains(&fault_seed(42, i)), "domain collision at {i}");
+            assert!(
+                !seen.contains(&fault_seed(42, i)),
+                "domain collision at {i}"
+            );
         }
     }
 

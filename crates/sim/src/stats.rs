@@ -196,8 +196,7 @@ impl ChannelStats {
         }
         let mut latencies: Vec<Ticks> = self.deliveries.iter().map(Delivery::latency).collect();
         latencies.sort_unstable();
-        let rank = ((q * latencies.len() as f64).ceil() as usize)
-            .clamp(1, latencies.len());
+        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
         Ok(latencies[rank - 1])
     }
 
@@ -421,7 +420,10 @@ mod tests {
         assert_eq!(s.lost.len(), 3);
         assert_eq!(s.lost_total, 8);
         // The first three are the ones retained.
-        assert_eq!(s.lost.iter().map(|m| m.id.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            s.lost.iter().map(|m| m.id.0).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
     }
 
     #[test]

@@ -163,7 +163,9 @@ impl Trace {
             match event {
                 TraceEvent::Silence { .. } => out.push('.'),
                 TraceEvent::Collision { survivor: None, .. } => out.push('X'),
-                TraceEvent::Collision { survivor: Some(_), .. } => out.push('A'),
+                TraceEvent::Collision {
+                    survivor: Some(_), ..
+                } => out.push('A'),
                 TraceEvent::TxStart { .. } => out.push('#'),
                 TraceEvent::TxEnd { .. } => {}
                 TraceEvent::Garbled { .. } => out.push('?'),
@@ -428,9 +430,18 @@ mod tests {
     fn timeline_renders_channel_history() {
         let mut t = Trace::enabled();
         t.record(TraceEvent::Silence { at: Ticks(0) });
-        t.record(TraceEvent::Collision { at: Ticks(512), survivor: None });
-        t.record(TraceEvent::TxStart { at: Ticks(1024), message: MessageId(1) });
-        t.record(TraceEvent::TxEnd { at: Ticks(2000), message: MessageId(1) });
+        t.record(TraceEvent::Collision {
+            at: Ticks(512),
+            survivor: None,
+        });
+        t.record(TraceEvent::TxStart {
+            at: Ticks(1024),
+            message: MessageId(1),
+        });
+        t.record(TraceEvent::TxEnd {
+            at: Ticks(2000),
+            message: MessageId(1),
+        });
         t.record(TraceEvent::Collision {
             at: Ticks(2000),
             survivor: Some(MessageId(2)),
@@ -472,8 +483,14 @@ mod tests {
     fn timeline_respects_capacity_window() {
         let mut t = Trace::with_capacity(2);
         t.record(TraceEvent::Silence { at: Ticks(0) });
-        t.record(TraceEvent::Collision { at: Ticks(1), survivor: None });
-        t.record(TraceEvent::Garbled { at: Ticks(2), message: MessageId(0) });
+        t.record(TraceEvent::Collision {
+            at: Ticks(1),
+            survivor: None,
+        });
+        t.record(TraceEvent::Garbled {
+            at: Ticks(2),
+            message: MessageId(0),
+        });
         assert_eq!(t.render_timeline(), "X?");
     }
 
@@ -503,25 +520,49 @@ mod tests {
         let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sink = JsonlSink::new(Box::new(SharedBuf(buf.clone())));
         sink.record(&TraceEvent::Silence { at: Ticks(0) });
-        sink.record(&TraceEvent::Collision { at: Ticks(512), survivor: None });
+        sink.record(&TraceEvent::Collision {
+            at: Ticks(512),
+            survivor: None,
+        });
         sink.record(&TraceEvent::Collision {
             at: Ticks(1024),
             survivor: Some(MessageId(7)),
         });
-        sink.record(&TraceEvent::TxStart { at: Ticks(1536), message: MessageId(7) });
-        sink.record(&TraceEvent::TxEnd { at: Ticks(2000), message: MessageId(7) });
-        sink.record(&TraceEvent::Garbled { at: Ticks(2048), message: MessageId(8) });
+        sink.record(&TraceEvent::TxStart {
+            at: Ticks(1536),
+            message: MessageId(7),
+        });
+        sink.record(&TraceEvent::TxEnd {
+            at: Ticks(2000),
+            message: MessageId(7),
+        });
+        sink.record(&TraceEvent::Garbled {
+            at: Ticks(2048),
+            message: MessageId(8),
+        });
         assert_eq!(sink.events_written(), 6);
         assert_eq!(sink.finish().unwrap(), 6);
         let text = String::from_utf8(SharedBuf::contents(&buf)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "{\"schema\":\"ddcr-trace\",\"version\":1}");
         assert_eq!(lines[1], "{\"at\":0,\"event\":\"silence\"}");
-        assert_eq!(lines[2], "{\"at\":512,\"event\":\"collision\",\"survivor\":null}");
-        assert_eq!(lines[3], "{\"at\":1024,\"event\":\"collision\",\"survivor\":7}");
-        assert_eq!(lines[4], "{\"at\":1536,\"event\":\"tx_start\",\"message\":7}");
+        assert_eq!(
+            lines[2],
+            "{\"at\":512,\"event\":\"collision\",\"survivor\":null}"
+        );
+        assert_eq!(
+            lines[3],
+            "{\"at\":1024,\"event\":\"collision\",\"survivor\":7}"
+        );
+        assert_eq!(
+            lines[4],
+            "{\"at\":1536,\"event\":\"tx_start\",\"message\":7}"
+        );
         assert_eq!(lines[5], "{\"at\":2000,\"event\":\"tx_end\",\"message\":7}");
-        assert_eq!(lines[6], "{\"at\":2048,\"event\":\"garbled\",\"message\":8}");
+        assert_eq!(
+            lines[6],
+            "{\"at\":2048,\"event\":\"garbled\",\"message\":8}"
+        );
     }
 
     #[test]
@@ -538,8 +579,14 @@ mod tests {
     fn jsonl_sink_writes_membership_lines() {
         let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sink = JsonlSink::headerless(Box::new(SharedBuf(buf.clone())));
-        sink.record(&TraceEvent::Left { at: Ticks(512), station: 3 });
-        sink.record(&TraceEvent::Joined { at: Ticks(4096), station: 3 });
+        sink.record(&TraceEvent::Left {
+            at: Ticks(512),
+            station: 3,
+        });
+        sink.record(&TraceEvent::Joined {
+            at: Ticks(4096),
+            station: 3,
+        });
         assert_eq!(sink.finish().unwrap(), 2);
         let text = String::from_utf8(SharedBuf::contents(&buf)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -551,15 +598,24 @@ mod tests {
     fn membership_events_do_not_widen_the_timeline() {
         let mut t = Trace::enabled();
         t.record(TraceEvent::Silence { at: Ticks(0) });
-        t.record(TraceEvent::Left { at: Ticks(512), station: 1 });
-        t.record(TraceEvent::Joined { at: Ticks(1024), station: 1 });
+        t.record(TraceEvent::Left {
+            at: Ticks(512),
+            station: 1,
+        });
+        t.record(TraceEvent::Joined {
+            at: Ticks(1024),
+            station: 1,
+        });
         t.record(TraceEvent::Silence { at: Ticks(1536) });
         assert_eq!(t.render_timeline(), "..");
     }
 
     #[test]
     fn header_helpers_match_schema() {
-        assert_eq!(schema_header(), "{\"schema\":\"ddcr-trace\",\"version\":1}\n");
+        assert_eq!(
+            schema_header(),
+            "{\"schema\":\"ddcr-trace\",\"version\":1}\n"
+        );
         assert_eq!(
             multichannel_header(4),
             "{\"schema\":\"ddcr-trace\",\"version\":2,\"channels\":4}\n"

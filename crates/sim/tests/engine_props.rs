@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation engine's channel contract.
 
 use ddcr_sim::{
-    Action, ClassId, CollisionMode, Engine, Frame, MediumConfig, Message, MessageId,
-    Observation, SourceId, Station, Ticks, Trace, TraceEvent,
+    Action, ClassId, CollisionMode, Engine, Frame, MediumConfig, Message, MessageId, Observation,
+    SourceId, Station, Ticks, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 

@@ -285,10 +285,7 @@ impl Replay {
     ///
     /// Returns [`TrafficError::DensityViolation`] if the recorded trace
     /// exceeds the bound.
-    pub fn validated(
-        times: Vec<Ticks>,
-        bound: crate::DensityBound,
-    ) -> Result<Self, TrafficError> {
+    pub fn validated(times: Vec<Ticks>, bound: crate::DensityBound) -> Result<Self, TrafficError> {
         let replay = Replay::new(times);
         crate::validate::check_density(&replay.times, bound)?;
         Ok(replay)
@@ -380,7 +377,10 @@ mod tests {
     fn periodic_is_evenly_spaced() {
         let c = class(2, 1000); // period 500
         let times = Periodic::new(Ticks(100)).arrival_times(&c, Ticks(2100));
-        assert_eq!(times, vec![Ticks(100), Ticks(600), Ticks(1100), Ticks(1600)]);
+        assert_eq!(
+            times,
+            vec![Ticks(100), Ticks(600), Ticks(1100), Ticks(1600)]
+        );
         assert!(check_density(&times, c.density).is_ok());
     }
 
@@ -476,9 +476,7 @@ mod tests {
             vec![Ticks(10), Ticks(500)]
         );
         assert!(Replay::validated(vec![Ticks(0), Ticks(1)], c.density).is_ok());
-        assert!(
-            Replay::validated(vec![Ticks(0), Ticks(1), Ticks(2)], c.density).is_err()
-        );
+        assert!(Replay::validated(vec![Ticks(0), Ticks(1), Ticks(2)], c.density).is_err());
     }
 
     #[test]
@@ -488,7 +486,9 @@ mod tests {
         let runs: Vec<Vec<Ticks>> = vec![
             PeakLoad.arrival_times(&c, horizon),
             Periodic::new(Ticks(3)).arrival_times(&c, horizon),
-            BoundedRandom::new(0.5, 1).unwrap().arrival_times(&c, horizon),
+            BoundedRandom::new(0.5, 1)
+                .unwrap()
+                .arrival_times(&c, horizon),
             Poisson {
                 intensity: 0.5,
                 seed: 1,

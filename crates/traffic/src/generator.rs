@@ -66,7 +66,10 @@ impl<'a> ScheduleBuilder<'a> {
         intensity: f64,
         seed: u64,
     ) -> Result<Self, TrafficError> {
-        Ok(Self::new(set, Box::new(BoundedRandom::new(intensity, seed)?)))
+        Ok(Self::new(
+            set,
+            Box::new(BoundedRandom::new(intensity, seed)?),
+        ))
     }
 
     /// Poisson traffic at `intensity` times each class's density rate
@@ -76,11 +79,7 @@ impl<'a> ScheduleBuilder<'a> {
     }
 
     /// Overrides the process for one class.
-    pub fn with_class_process(
-        mut self,
-        class: ClassId,
-        process: Box<dyn ArrivalProcess>,
-    ) -> Self {
+    pub fn with_class_process(mut self, class: ClassId, process: Box<dyn ArrivalProcess>) -> Self {
         self.overrides.insert(class, process);
         self
     }
@@ -180,8 +179,12 @@ mod tests {
     #[test]
     fn peak_load_schedule_is_sorted_and_valid() {
         let set = two_class_set();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(100_000)).unwrap();
-        assert!(schedule.windows(2).all(|p| (p[0].arrival, p[0].id) <= (p[1].arrival, p[1].id)));
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(100_000))
+            .unwrap();
+        assert!(schedule
+            .windows(2)
+            .all(|p| (p[0].arrival, p[0].id) <= (p[1].arrival, p[1].id)));
         assert!(check_schedule(&set, &schedule).is_ok());
         // Class 0: 2 per 10k over 100k = 20; class 1: 1 per 20k = 5.
         assert_eq!(schedule.len(), 25);
@@ -190,7 +193,9 @@ mod tests {
     #[test]
     fn ids_are_unique_and_dense() {
         let set = two_class_set();
-        let schedule = ScheduleBuilder::periodic(&set).build(Ticks(100_000)).unwrap();
+        let schedule = ScheduleBuilder::periodic(&set)
+            .build(Ticks(100_000))
+            .unwrap();
         for (i, m) in schedule.iter().enumerate() {
             assert_eq!(m.id, MessageId(i as u64));
         }
@@ -210,7 +215,10 @@ mod tests {
     fn class_override_changes_one_class_only() {
         let set = two_class_set();
         let schedule = ScheduleBuilder::peak_load(&set)
-            .with_class_process(ClassId(1), Box::new(crate::arrival::Periodic::new(Ticks(7))))
+            .with_class_process(
+                ClassId(1),
+                Box::new(crate::arrival::Periodic::new(Ticks(7))),
+            )
             .build(Ticks(40_000))
             .unwrap();
         let class1: Vec<_> = schedule.iter().filter(|m| m.class == ClassId(1)).collect();
@@ -230,7 +238,9 @@ mod tests {
     #[test]
     fn offered_load_counts_bits() {
         let set = two_class_set();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(100_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(100_000))
+            .unwrap();
         // 20 × 1000 + 5 × 2000 = 30_000 bits over 100_000 ticks.
         assert!((offered_load(&schedule, Ticks(100_000)) - 0.3).abs() < 1e-12);
         assert_eq!(offered_load(&schedule, Ticks::ZERO), 0.0);
@@ -239,7 +249,9 @@ mod tests {
     #[test]
     fn message_fields_copied_from_class() {
         let set = two_class_set();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(10_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(10_000))
+            .unwrap();
         let m = schedule.iter().find(|m| m.class == ClassId(0)).unwrap();
         assert_eq!(m.bits, 1000);
         assert_eq!(m.deadline, Ticks(50_000));

@@ -136,12 +136,7 @@ pub fn manufacturing_cell(z: u32) -> Result<MessageSet, TrafficError> {
 ///
 /// Returns [`TrafficError::InvalidProcess`] if `load` is not in `(0, 1]`
 /// or `z` is zero; propagates construction errors otherwise.
-pub fn uniform(
-    z: u32,
-    bits: u64,
-    deadline: Ticks,
-    load: f64,
-) -> Result<MessageSet, TrafficError> {
+pub fn uniform(z: u32, bits: u64, deadline: Ticks, load: f64) -> Result<MessageSet, TrafficError> {
     if z == 0 || !(load > 0.0 && load <= 1.0) {
         return Err(TrafficError::InvalidProcess(format!(
             "uniform scenario needs z ≥ 1 and load in (0, 1], got z={z}, load={load}"

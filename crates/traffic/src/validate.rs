@@ -62,10 +62,7 @@ fn check_density_inner(
 /// Returns the first per-class [`TrafficError::DensityViolation`], or
 /// [`TrafficError::InvalidProcess`] if a message references a class absent
 /// from the set.
-pub fn check_schedule(
-    set: &crate::MessageSet,
-    schedule: &[Message],
-) -> Result<(), TrafficError> {
+pub fn check_schedule(set: &crate::MessageSet, schedule: &[Message]) -> Result<(), TrafficError> {
     let mut per_class: BTreeMap<ClassId, Vec<Ticks>> = BTreeMap::new();
     for msg in schedule {
         per_class.entry(msg.class).or_default().push(msg.arrival);

@@ -43,9 +43,8 @@ impl ExpectedSearchTable {
         // ln(n!) table up to the full leaf count, for stable hypergeometric
         // probabilities.
         let lf = ln_factorials(shape.leaves() as usize);
-        let ln_choose = |n: u64, r: u64| -> f64 {
-            lf[n as usize] - lf[r as usize] - lf[(n - r) as usize]
-        };
+        let ln_choose =
+            |n: u64, r: u64| -> f64 { lf[n as usize] - lf[r as usize] - lf[(n - r) as usize] };
         // Level for a single leaf.
         let mut level: Vec<f64> = vec![1.0, 0.0];
         let mut sub_leaves = 1u64;
@@ -64,8 +63,7 @@ impl ExpectedSearchTable {
                 let j_max = k.min(s);
                 let mut acc = 0.0f64;
                 for j in j_min..=j_max {
-                    let p =
-                        (ln_choose(s, j) + ln_choose(t - s, k - j) - ln_denom).exp();
+                    let p = (ln_choose(s, j) + ln_choose(t - s, k - j) - ln_denom).exp();
                     acc += p * level[j as usize];
                 }
                 next[k as usize] = 1.0 + m as f64 * acc;
@@ -176,8 +174,7 @@ mod tests {
             let mut total = 0.0f64;
             let mut count = 0u64;
             loop {
-                total +=
-                    search_active_leaves(shape, &subset).unwrap().search_slots() as f64;
+                total += search_active_leaves(shape, &subset).unwrap().search_slots() as f64;
                 count += 1;
                 if !next_comb(&mut subset, 8) {
                     break;

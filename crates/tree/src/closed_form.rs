@@ -56,11 +56,15 @@ pub fn xi_closed(shape: TreeShape, k: u64) -> Result<u64, TreeError> {
         _ => {}
     }
     let h = k / 2; // ⌊k/2⌋ ≥ 1
-    let mh = m
-        .checked_mul(h)
-        .ok_or(TreeError::Overflow { m, n: shape.height() })?;
+    let mh = m.checked_mul(h).ok_or(TreeError::Overflow {
+        m,
+        n: shape.height(),
+    })?;
     let e = ceil_log(m, mh);
-    let pow = checked_pow(m, e).ok_or(TreeError::Overflow { m, n: shape.height() })?;
+    let pow = checked_pow(m, e).ok_or(TreeError::Overflow {
+        m,
+        n: shape.height(),
+    })?;
     let first = ((pow - 1) / (m - 1)) as i64;
     let second = mh as i64 * floor_log_ratio(m, t, mh);
     let third = k as i64 - mh as i64;
@@ -163,10 +167,7 @@ mod tests {
             let shape = TreeShape::new(m, n).unwrap();
             assert_eq!(xi_closed(shape, 2).unwrap(), xi_two(shape));
             assert_eq!(xi_closed(shape, peak_k(shape)).unwrap(), xi_peak(shape));
-            assert_eq!(
-                xi_closed(shape, shape.leaves()).unwrap(),
-                xi_full(shape)
-            );
+            assert_eq!(xi_closed(shape, shape.leaves()).unwrap(), xi_full(shape));
         }
     }
 
@@ -175,8 +176,7 @@ mod tests {
         let shape = TreeShape::new(4, 3).unwrap();
         let table = SearchTimeTable::compute(shape).unwrap();
         for p in 1..shape.leaves() / 2 {
-            let diff =
-                table.xi(2 * p + 2).unwrap() as i64 - table.xi(2 * p).unwrap() as i64;
+            let diff = table.xi(2 * p + 2).unwrap() as i64 - table.xi(2 * p).unwrap() as i64;
             assert_eq!(diff, xi_derivative(shape, p), "p={p}");
         }
     }

@@ -97,7 +97,16 @@ mod tests {
 
     #[test]
     fn agrees_with_exact_dp() {
-        for (m, n) in [(2u64, 1u32), (2, 3), (2, 6), (3, 1), (3, 3), (4, 3), (5, 2), (8, 2)] {
+        for (m, n) in [
+            (2u64, 1u32),
+            (2, 3),
+            (2, 6),
+            (3, 1),
+            (3, 3),
+            (4, 3),
+            (5, 2),
+            (8, 2),
+        ] {
             let shape = TreeShape::new(m, n).unwrap();
             let table = SearchTimeTable::compute(shape).unwrap();
             for k in 0..=shape.leaves() {

@@ -255,8 +255,7 @@ mod tests {
             let t = tb.shape().leaves();
             for p in 1..(t / 2) {
                 let lhs = tb.xi(2 * p + 2).unwrap() as i64 - tb.xi(2 * p).unwrap() as i64;
-                let rhs =
-                    m as i64 * (i64::from(n) - i64::from(floor_log(m, m * p))) - 2;
+                let rhs = m as i64 * (i64::from(n) - i64::from(floor_log(m, m * p))) - 2;
                 assert_eq!(lhs, rhs, "m={m} n={n} p={p}");
             }
         }
@@ -281,10 +280,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_k() {
         let tb = table(2, 3);
-        assert_eq!(
-            tb.xi(9),
-            Err(TreeError::TooManyActiveLeaves { k: 9, t: 8 })
-        );
+        assert_eq!(tb.xi(9), Err(TreeError::TooManyActiveLeaves { k: 9, t: 8 }));
     }
 
     #[test]

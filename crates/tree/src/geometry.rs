@@ -254,7 +254,10 @@ mod tests {
             TreeShape::new(1, 3),
             Err(TreeError::BranchingTooSmall { m: 1 })
         );
-        assert_eq!(TreeShape::new(2, 0), Err(TreeError::Overflow { m: 2, n: 0 }));
+        assert_eq!(
+            TreeShape::new(2, 0),
+            Err(TreeError::Overflow { m: 2, n: 0 })
+        );
         assert!(TreeShape::new(2, 64).is_err());
         assert_eq!(
             TreeShape::from_leaves(4, 32),

@@ -69,9 +69,9 @@ pub mod witness;
 
 pub use cache::TableCache;
 pub use error::TreeError;
-pub use visit::VisitCache;
 pub use exact::SearchTimeTable;
 pub use geometry::{ceil_log, ceil_log_ratio, checked_pow, floor_log, floor_log_ratio, TreeShape};
+pub use visit::VisitCache;
 
 #[cfg(test)]
 mod tests {

@@ -93,10 +93,7 @@ impl SearchOutcome {
 /// # Ok(())
 /// # }
 /// ```
-pub fn search_active_leaves(
-    shape: TreeShape,
-    active: &[u64],
-) -> Result<SearchOutcome, TreeError> {
+pub fn search_active_leaves(shape: TreeShape, active: &[u64]) -> Result<SearchOutcome, TreeError> {
     let t = shape.leaves();
     for &leaf in active {
         if leaf >= t {
@@ -148,7 +145,10 @@ fn visit(m: u64, lo: u64, width: u64, sorted: &[u64], out: &mut SearchOutcome) {
                 outcome: ProbeOutcome::Collision,
             });
             let child = width / m;
-            debug_assert!(child >= 1, "collision on a single leaf set of distinct leaves");
+            debug_assert!(
+                child >= 1,
+                "collision on a single leaf set of distinct leaves"
+            );
             for i in 0..m {
                 visit(m, lo + i * child, child, sorted, out);
             }
@@ -165,10 +165,7 @@ fn visit(m: u64, lo: u64, width: u64, sorted: &[u64], out: &mut SearchOutcome) {
 /// # Errors
 ///
 /// Returns [`TreeError::TooManyActiveLeaves`] if `k > t`.
-pub fn worst_case_exhaustive(
-    shape: TreeShape,
-    k: u64,
-) -> Result<(u64, Vec<u64>), TreeError> {
+pub fn worst_case_exhaustive(shape: TreeShape, k: u64) -> Result<(u64, Vec<u64>), TreeError> {
     let t = shape.leaves();
     if k > t {
         return Err(TreeError::TooManyActiveLeaves { k, t });

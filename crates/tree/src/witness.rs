@@ -129,7 +129,9 @@ mod tests {
             for k in 0..=shape.leaves() {
                 let witness = worst_case_witness(shape, k).unwrap();
                 assert_eq!(witness.len() as u64, k);
-                let cost = search_active_leaves(shape, &witness).unwrap().search_slots();
+                let cost = search_active_leaves(shape, &witness)
+                    .unwrap()
+                    .search_slots();
                 assert_eq!(cost, xi_closed(shape, k).unwrap(), "m={m} n={n} k={k}");
             }
         }
@@ -141,7 +143,9 @@ mod tests {
         for k in 0..=16u64 {
             let (best, _) = worst_case_exhaustive(shape, k).unwrap();
             let witness = worst_case_witness(shape, k).unwrap();
-            let cost = search_active_leaves(shape, &witness).unwrap().search_slots();
+            let cost = search_active_leaves(shape, &witness)
+                .unwrap()
+                .search_slots();
             assert_eq!(cost, best, "k={k}");
         }
     }
@@ -154,7 +158,9 @@ mod tests {
             let t = shape.leaves();
             for k in [2u64, 3, 17, t / 5, 2 * t / m, t - 1, t] {
                 let witness = worst_case_witness(shape, k).unwrap();
-                let cost = search_active_leaves(shape, &witness).unwrap().search_slots();
+                let cost = search_active_leaves(shape, &witness)
+                    .unwrap()
+                    .search_slots();
                 assert_eq!(cost, xi_closed(shape, k).unwrap(), "m={m} n={n} k={k}");
             }
         }

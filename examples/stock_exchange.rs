@@ -79,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scenario B: a quiet afternoon — random traffic at 40 % of the bounds.
     let calm_schedule = ScheduleBuilder::bounded_random(&set, 0.4, 7)?.build(Ticks(8_000_000))?;
     validate::check_schedule(&set, &calm_schedule)?;
-    println!("\nB) quiet tape: {} density-respecting random messages", calm_schedule.len());
+    println!(
+        "\nB) quiet tape: {} density-respecting random messages",
+        calm_schedule.len()
+    );
     let ddcr_calm = network::run(
         &set,
         calm_schedule.clone(),

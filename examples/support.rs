@@ -9,7 +9,15 @@ use ddcr_sim::ChannelStats;
 pub fn print_feasibility(report: &FeasibilityReport) {
     println!(
         "{:>6} {:>6} {:>6} {:>6} {:>4} {:>14} {:>14} {:>10} {:>9}",
-        "class", "source", "r(M)", "u(M)", "v(M)", "B_DDCR (ticks)", "d(M) (ticks)", "slack", "feasible"
+        "class",
+        "source",
+        "r(M)",
+        "u(M)",
+        "v(M)",
+        "B_DDCR (ticks)",
+        "d(M) (ticks)",
+        "slack",
+        "feasible"
     );
     for c in &report.per_class {
         println!(

@@ -17,7 +17,9 @@ use ddcr_examples::{print_feasibility, print_run};
 use ddcr_sim::{MediumConfig, Ticks};
 use ddcr_traffic::{scenario, ScheduleBuilder};
 
-fn setup(z: u32) -> Result<
+fn setup(
+    z: u32,
+) -> Result<
     (
         ddcr_traffic::MessageSet,
         DdcrConfig,
@@ -79,12 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("\npeak-load validation ({n} messages):");
     print_run(&format!("videoconference z={ok_z}"), &stats);
-    assert_eq!(stats.deadline_misses(), 0, "accepted dimensioning must hold");
+    assert_eq!(
+        stats.deadline_misses(),
+        0,
+        "accepted dimensioning must hold"
+    );
 
     if let Some(bad_z) = first_infeasible {
-        println!(
-            "\n--- {bad_z} participants rejected by the FCs (worst case may miss) ---"
-        );
+        println!("\n--- {bad_z} participants rejected by the FCs (worst case may miss) ---");
         let (set, config, allocation, medium) = setup(bad_z)?;
         let report = feasibility::evaluate(&set, &config, &allocation, &medium)?;
         let tightest = report.tightest().expect("classes");

@@ -112,7 +112,10 @@ impl Criterion {
     {
         let mut bencher = Bencher::default();
         routine(&mut bencher);
-        println!("bench {id}: {} ns (single shot; criterion shim)", bencher.elapsed_ns);
+        println!(
+            "bench {id}: {} ns (single shot; criterion shim)",
+            bencher.elapsed_ns
+        );
         self
     }
 }

@@ -62,14 +62,20 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
             assert!(r.start() <= r.end(), "empty size range");
-            SizeRange { lo: *r.start(), hi: *r.end() + 1 }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end() + 1,
+            }
         }
     }
 
@@ -145,7 +151,9 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Asserts a condition inside a property; panics with context on failure.

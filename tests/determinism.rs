@@ -5,8 +5,7 @@
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_integration::run_ddcr;
 use ddcr_sim::{
-    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station,
-    Ticks,
+    Action, ClassId, Frame, MediumConfig, Message, MessageId, Observation, SourceId, Station, Ticks,
 };
 use ddcr_traffic::{scenario, ScheduleBuilder};
 
@@ -68,9 +67,7 @@ fn replicas_never_diverge_over_long_runs() {
     let mut now = Ticks::ZERO;
     let mut next_arrival = 0usize;
     let mut step = 0u64;
-    while next_arrival < arrivals.len()
-        || stations.iter().any(|s| s.backlog() > 0)
-        || step < 5_000
+    while next_arrival < arrivals.len() || stations.iter().any(|s| s.backlog() > 0) || step < 5_000
     {
         assert!(step < 100_000, "workload failed to drain");
         step += 1;
@@ -107,7 +104,10 @@ fn replicas_never_diverge_over_long_runs() {
     }
     // Everything injected must eventually have been drained.
     assert_eq!(next_arrival, arrivals.len());
-    assert!(stations.iter().all(|s| s.backlog() == 0), "undrained backlog");
+    assert!(
+        stations.iter().all(|s| s.backlog() == 0),
+        "undrained backlog"
+    );
 }
 
 /// The parallel sweep runner's core guarantee: the same grid run with 1
@@ -161,7 +161,12 @@ fn sweep_results_identical_across_worker_counts() {
     // And an explicit spot-check that the float fields really are bitwise
     // equal, not merely approximately so.
     for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits(), "{}", a.protocol);
+        assert_eq!(
+            a.miss_ratio.to_bits(),
+            b.miss_ratio.to_bits(),
+            "{}",
+            a.protocol
+        );
         assert_eq!(
             a.mean_latency.to_bits(),
             b.mean_latency.to_bits(),
@@ -197,7 +202,14 @@ fn sweep_results_stable_across_repeated_runs() {
         ProtocolKind::NpEdf,
     ];
     let mut grid = SweepGrid::new();
-    grid.push_comparison("repeat", &kinds, &set, &schedule, medium, Ticks(1_000_000_000));
+    grid.push_comparison(
+        "repeat",
+        &kinds,
+        &set,
+        &schedule,
+        medium,
+        Ticks(1_000_000_000),
+    );
     let first = grid.run(SweepConfig::new(2, 7)).summaries().unwrap();
     let second = grid.run(SweepConfig::new(3, 7)).summaries().unwrap();
     assert_eq!(first, second);
@@ -209,7 +221,9 @@ fn csma_cd_trace_is_seed_deterministic() {
     let run = |seed: u64| {
         let medium = MediumConfig::ethernet();
         let set = scenario::uniform(4, 8_000, Ticks(4_000_000), 0.5).unwrap();
-        let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(4_000_000)).unwrap();
+        let schedule = ScheduleBuilder::peak_load(&set)
+            .build(Ticks(4_000_000))
+            .unwrap();
         let mut engine = ddcr_sim::Engine::new(medium).unwrap();
         for i in 0..4 {
             engine.add_station(Box::new(CsmaCdStation::new(

@@ -10,9 +10,15 @@ fn every_scenario_preset_drains_under_peak_load() {
     let medium = MediumConfig::gigabit_ethernet();
     let sets = [
         ("videoconference", scenario::videoconference(4).unwrap()),
-        ("air_traffic_control", scenario::air_traffic_control(4).unwrap()),
+        (
+            "air_traffic_control",
+            scenario::air_traffic_control(4).unwrap(),
+        ),
         ("stock_exchange", scenario::stock_exchange(4).unwrap()),
-        ("manufacturing_cell", scenario::manufacturing_cell(4).unwrap()),
+        (
+            "manufacturing_cell",
+            scenario::manufacturing_cell(4).unwrap(),
+        ),
     ];
     for (name, set) in sets {
         let horizon = Ticks(4_000_000);
@@ -45,7 +51,9 @@ fn bounded_random_traffic_is_legal_and_drains() {
 fn per_message_latency_is_consistent() {
     let medium = MediumConfig::ethernet();
     let set = scenario::uniform(4, 8_000, Ticks(5_000_000), 0.3).unwrap();
-    let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(5_000_000)).unwrap();
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(Ticks(5_000_000))
+        .unwrap();
     let stats = run_ddcr(&set, schedule, medium);
     for d in &stats.deliveries {
         // Completion after arrival, by at least the wire time.
@@ -64,7 +72,9 @@ fn per_message_latency_is_consistent() {
 fn utilization_matches_delivered_bits() {
     let medium = MediumConfig::ethernet();
     let set = scenario::uniform(4, 8_000, Ticks(5_000_000), 0.3).unwrap();
-    let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(5_000_000)).unwrap();
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(Ticks(5_000_000))
+        .unwrap();
     let stats = run_ddcr(&set, schedule, medium);
     let wire_total: u64 = stats
         .deliveries
@@ -79,8 +89,7 @@ fn feasibility_report_covers_every_class() {
     let medium = MediumConfig::gigabit_ethernet();
     let set = scenario::videoconference(6).unwrap();
     let (config, allocation) = ddcr_setup(&set, &medium);
-    let report =
-        ddcr_core::feasibility::evaluate(&set, &config, &allocation, &medium).unwrap();
+    let report = ddcr_core::feasibility::evaluate(&set, &config, &allocation, &medium).unwrap();
     assert_eq!(report.per_class.len(), set.classes().len());
     for (c, class) in report.per_class.iter().zip(set.classes()) {
         assert_eq!(c.class, class.id);

@@ -87,7 +87,9 @@ fn jammed_engine(z: u32, jam_probability: f64) -> (Engine, Vec<Message>) {
     }
     // The jammer sits on the bus as an extra station.
     engine.add_station(Box::new(Jammer::new(SourceId(z), jam_probability, 99)));
-    let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(4_000_000)).unwrap();
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(Ticks(4_000_000))
+        .unwrap();
     (engine, schedule)
 }
 
@@ -95,8 +97,7 @@ fn jammed_engine(z: u32, jam_probability: f64) -> (Engine, Vec<Message>) {
 fn light_jamming_delays_but_does_not_lose_messages() {
     let (mut engine, schedule) = jammed_engine(4, 0.05);
     let n = schedule.len();
-    let legitimate: std::collections::HashSet<u64> =
-        schedule.iter().map(|m| m.id.0).collect();
+    let legitimate: std::collections::HashSet<u64> = schedule.iter().map(|m| m.id.0).collect();
     engine.add_arrivals(schedule).unwrap();
     engine.run_to_completion(Ticks(400_000_000_000)).unwrap();
     let delivered: Vec<u64> = engine

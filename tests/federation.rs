@@ -107,9 +107,8 @@ fn single_segment_matches_single_bus_across_stepper_matrix() {
                     rates: fault_rates(),
                     horizon_slots: fault_horizon(&medium),
                 });
-                let report =
-                    run_federation(vec![engine], vec![schedule.clone()], &[], &options)
-                        .expect("federated run");
+                let report = run_federation(vec![engine], vec![schedule.clone()], &[], &options)
+                    .expect("federated run");
                 assert!(report.completed(), "{tag}");
                 let outcome = &report.segments[0];
                 assert_eq!(outcome.stats, reference_stats, "{tag}");

@@ -98,9 +98,13 @@ fn make_plan(raw: &[(u64, bool, u32)], z: u32, absent: &[u32]) -> MembershipPlan
         .map(|&(slot, join, station)| MembershipEvent {
             slot,
             change: if join {
-                MembershipChange::Join { station: station % z }
+                MembershipChange::Join {
+                    station: station % z,
+                }
             } else {
-                MembershipChange::Leave { station: station % z }
+                MembershipChange::Leave {
+                    station: station % z,
+                }
             },
         })
         .collect();
@@ -304,7 +308,10 @@ fn leave_loses_queue_and_rejoin_resynchronizes() {
     // The t=0 queue of station 1 was lost at the leave; its post-leave
     // arrival (t=20_000, while absent) is lost too.
     let lost: Vec<u64> = stats.lost.iter().map(|m| m.id.0).collect();
-    assert!(lost.contains(&0), "queued message lost at the leave: {lost:?}");
+    assert!(
+        lost.contains(&0),
+        "queued message lost at the leave: {lost:?}"
+    );
     assert!(lost.contains(&2), "arrival while absent is lost: {lost:?}");
     // Survivors' traffic (and nothing lost) was delivered.
     let delivered: Vec<u64> = stats.deliveries.iter().map(|d| d.message.id.0).collect();

@@ -103,7 +103,11 @@ fn single_channel_matches_single_bus_for_all_protocols_and_modes() {
             engine.add_arrivals(schedule).expect("arrivals");
             let completed = engine.run_to_completion(BUDGET).is_ok();
             let metrics = engine.take_metrics();
-            engine.take_trace_sink().expect("sink").finish().expect("finish");
+            engine
+                .take_trace_sink()
+                .expect("sink")
+                .finish()
+                .expect("finish");
             let stats = engine.into_stats();
 
             let outcome = &report.channels[0];
@@ -148,7 +152,10 @@ fn worker_pool_is_protocol_agnostic() {
         let serial = run(1);
         let parallel = run(4);
         for (a, b) in serial.channels.iter().zip(&parallel.channels) {
-            assert_eq!(a.stats, b.stats, "{protocol}: worker count leaked into results");
+            assert_eq!(
+                a.stats, b.stats,
+                "{protocol}: worker count leaked into results"
+            );
         }
     }
 }

@@ -44,8 +44,7 @@ fn run_proto(proto: Proto, mode: CollisionMode, z: u32, schedule: Vec<Message>) 
             let mut engine = Engine::new(medium).expect("engine");
             match proto {
                 Proto::Ddcr => {
-                    let set =
-                        scenario::uniform(z, 8_000, Ticks(50_000_000), 0.2).expect("set");
+                    let set = scenario::uniform(z, 8_000, Ticks(50_000_000), 0.2).expect("set");
                     let (config, allocation) = ddcr_setup(&set, &medium);
                     engine = network::build_engine(&set, &config, &allocation, medium)
                         .expect("ddcr engine");
@@ -164,8 +163,7 @@ fn jsonl_export(fast: bool) -> (Vec<u8>, u64) {
     let schedule = ScheduleBuilder::peak_load(&set)
         .build(Ticks(4_000_000))
         .expect("schedule");
-    let mut engine =
-        network::build_engine(&set, &config, &allocation, medium).expect("engine");
+    let mut engine = network::build_engine(&set, &config, &allocation, medium).expect("engine");
     engine.set_fast_forward(fast);
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     engine.set_trace_sink(JsonlSink::new(Box::new(buf.clone())));
@@ -215,15 +213,17 @@ fn retention_off_long_run_keeps_exact_counts_without_records() {
         .expect("schedule");
     let scheduled = schedule.len() as u64;
     assert!(scheduled > 100, "workload too small to be interesting");
-    let mut engine =
-        network::build_engine(&set, &config, &allocation, medium).expect("engine");
+    let mut engine = network::build_engine(&set, &config, &allocation, medium).expect("engine");
     engine.set_retention(Some(0), Some(0));
     engine.add_arrivals(schedule).expect("arrivals");
     engine
         .run_to_completion(Ticks(200_000_000_000))
         .expect("completion");
     let stats = engine.into_stats();
-    assert!(stats.deliveries.is_empty(), "retention 0 retained deliveries");
+    assert!(
+        stats.deliveries.is_empty(),
+        "retention 0 retained deliveries"
+    );
     assert!(stats.lost.is_empty(), "retention 0 retained lost records");
     assert_eq!(stats.delivered, scheduled);
     assert_eq!(stats.latency_histogram.total(), scheduled);
@@ -244,8 +244,7 @@ fn seeded_ddcr_run_never_breaches_the_xi_bound() {
     let schedule = ScheduleBuilder::peak_load(&set)
         .build(Ticks(20_000_000))
         .expect("schedule");
-    let mut engine =
-        network::build_engine(&set, &config, &allocation, medium).expect("engine");
+    let mut engine = network::build_engine(&set, &config, &allocation, medium).expect("engine");
     let (time, static_) = network::xi_bound_tables(&config).expect("bounds");
     engine.set_xi_bounds(time, static_);
     engine.add_arrivals(schedule).expect("arrivals");

@@ -4,9 +4,7 @@
 
 use ddcr_baseline::{DcrStation, NpEdfOracle, QueueDiscipline};
 use ddcr_integration::run_ddcr;
-use ddcr_sim::{
-    ClassId, Engine, MediumConfig, Message, MessageId, SourceId, Ticks,
-};
+use ddcr_sim::{ClassId, Engine, MediumConfig, Message, MessageId, SourceId, Ticks};
 use ddcr_traffic::scenario;
 use ddcr_tree::{closed_form, TreeShape};
 
@@ -41,8 +39,7 @@ fn dcr_epoch_cost_matches_xi() {
         // mirrored so the rightmost leaf (7) is active: the epoch then ends
         // exactly at the last delivery, with no trailing probes cut off by
         // run_to_completion and no post-epoch idle silence counted.
-        let (expected, witness) =
-            ddcr_tree::search::worst_case_exhaustive(shape, k).unwrap();
+        let (expected, witness) = ddcr_tree::search::worst_case_exhaustive(shape, k).unwrap();
         let mirrored: Vec<u64> = witness.iter().map(|&leaf| 7 - leaf).collect();
         assert!(mirrored.contains(&7), "mirror must include the last leaf");
 
@@ -84,12 +81,18 @@ fn oracle_lower_bounds_ddcr_everywhere() {
     let set = scenario::uniform(4, 8_000, Ticks(50_000_000), 0.3).unwrap();
     let schedule = burst(4, 3, 8_000, 50_000_000);
     let ddcr = run_ddcr(&set, schedule.clone(), medium);
-    let oracle =
-        NpEdfOracle::run_schedule(medium, schedule, Ticks(100_000_000_000)).unwrap();
+    let oracle = NpEdfOracle::run_schedule(medium, schedule, Ticks(100_000_000_000)).unwrap();
     assert_eq!(ddcr.deliveries.len(), oracle.deliveries.len());
-    let mut ddcr_lat: Vec<u64> = ddcr.deliveries.iter().map(|d| d.latency().as_u64()).collect();
-    let mut oracle_lat: Vec<u64> =
-        oracle.deliveries.iter().map(|d| d.latency().as_u64()).collect();
+    let mut ddcr_lat: Vec<u64> = ddcr
+        .deliveries
+        .iter()
+        .map(|d| d.latency().as_u64())
+        .collect();
+    let mut oracle_lat: Vec<u64> = oracle
+        .deliveries
+        .iter()
+        .map(|d| d.latency().as_u64())
+        .collect();
     ddcr_lat.sort_unstable();
     oracle_lat.sort_unstable();
     for (o, d) in oracle_lat.iter().zip(&ddcr_lat) {
@@ -186,7 +189,8 @@ fn burst_makespan_within_analytic_budget() {
     // conservative per-message cost.
     let wire = 8_000 + medium.overhead_bits;
     let static_tree = TreeShape::new(4, 2).unwrap(); // q = 16 ≥ z
-    let per_round = closed_form::xi_peak(static_tree) + closed_form::xi_two(TreeShape::new(4, 3).unwrap());
+    let per_round =
+        closed_form::xi_peak(static_tree) + closed_form::xi_two(TreeShape::new(4, 3).unwrap());
     let budget = n * wire + medium.slot_ticks * (n * per_round + 64);
     assert!(
         makespan <= budget,

@@ -5,9 +5,7 @@
 use ddcr_baseline::{CsmaCdStation, DcrStation, QueueDiscipline};
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
 use ddcr_integration::ddcr_setup;
-use ddcr_sim::{
-    Engine, MediumConfig, SourceId, Ticks, Trace, TraceEvent,
-};
+use ddcr_sim::{Engine, MediumConfig, SourceId, Ticks, Trace, TraceEvent};
 use ddcr_traffic::{scenario, ScheduleBuilder};
 
 /// Asserts no two transmissions overlap in a channel trace and that every
@@ -52,7 +50,9 @@ fn assert_mutual_exclusion(events: &[TraceEvent]) {
 
 fn contended_workload() -> (ddcr_traffic::MessageSet, Vec<ddcr_sim::Message>) {
     let set = scenario::stock_exchange(6).unwrap();
-    let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(3_000_000)).unwrap();
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(Ticks(3_000_000))
+        .unwrap();
     (set, schedule)
 }
 
@@ -61,8 +61,7 @@ fn ddcr_transmissions_are_mutually_exclusive() {
     let (set, schedule) = contended_workload();
     let medium = MediumConfig::gigabit_ethernet();
     let (config, allocation) = ddcr_setup(&set, &medium);
-    let mut engine =
-        ddcr_core::network::build_engine(&set, &config, &allocation, medium).unwrap();
+    let mut engine = ddcr_core::network::build_engine(&set, &config, &allocation, medium).unwrap();
     engine.set_trace(Trace::enabled());
     engine.add_arrivals(schedule).unwrap();
     engine.run_to_completion(Ticks(200_000_000_000)).unwrap();
@@ -107,13 +106,16 @@ fn dcr_transmissions_are_mutually_exclusive() {
 #[test]
 fn no_message_is_delivered_twice_or_invented() {
     let (set, schedule) = contended_workload();
-    let scheduled_ids: std::collections::HashSet<u64> =
-        schedule.iter().map(|m| m.id.0).collect();
+    let scheduled_ids: std::collections::HashSet<u64> = schedule.iter().map(|m| m.id.0).collect();
     let medium = MediumConfig::gigabit_ethernet();
     let stats = ddcr_integration::run_ddcr(&set, schedule, medium);
     let mut seen = std::collections::HashSet::new();
     for d in &stats.deliveries {
-        assert!(seen.insert(d.message.id.0), "duplicate delivery {:?}", d.message.id);
+        assert!(
+            seen.insert(d.message.id.0),
+            "duplicate delivery {:?}",
+            d.message.id
+        );
         assert!(
             scheduled_ids.contains(&d.message.id.0),
             "delivered a message never scheduled"
@@ -125,7 +127,9 @@ fn no_message_is_delivered_twice_or_invented() {
 #[test]
 fn arbitrated_fabric_preserves_exclusion() {
     let set = scenario::uniform(8, 48 * 8, Ticks(50_000), 0.5).unwrap();
-    let schedule = ScheduleBuilder::peak_load(&set).build(Ticks(500_000)).unwrap();
+    let schedule = ScheduleBuilder::peak_load(&set)
+        .build(Ticks(500_000))
+        .unwrap();
     let medium = MediumConfig::atm_internal_bus();
     let config = DdcrConfig::for_sources(
         8,
@@ -133,8 +137,7 @@ fn arbitrated_fabric_preserves_exclusion() {
     )
     .unwrap();
     let allocation = StaticAllocation::one_per_source(config.static_tree, 8).unwrap();
-    let mut engine =
-        ddcr_core::network::build_engine(&set, &config, &allocation, medium).unwrap();
+    let mut engine = ddcr_core::network::build_engine(&set, &config, &allocation, medium).unwrap();
     engine.set_trace(Trace::enabled());
     engine.add_arrivals(schedule).unwrap();
     engine.run_to_completion(Ticks(200_000_000_000)).unwrap();

@@ -14,11 +14,7 @@ pub fn ddcr_setup(set: &MessageSet, medium: &MediumConfig) -> (DdcrConfig, Stati
 }
 
 /// Runs a schedule through CSMA/DDCR to completion with a generous budget.
-pub fn run_ddcr(
-    set: &MessageSet,
-    schedule: Vec<Message>,
-    medium: MediumConfig,
-) -> ChannelStats {
+pub fn run_ddcr(set: &MessageSet, schedule: Vec<Message>, medium: MediumConfig) -> ChannelStats {
     let (config, allocation) = ddcr_setup(set, &medium);
     network::run(
         set,

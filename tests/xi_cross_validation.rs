@@ -20,9 +20,7 @@
 //!    witness sets achieve `ξ_k^F − 1` on the wire.
 
 use ddcr_core::{DdcrConfig, DdcrStation, StaticAllocation};
-use ddcr_sim::{
-    ClassId, Engine, MediumConfig, Message, MessageId, SimMetrics, SourceId, Ticks,
-};
+use ddcr_sim::{ClassId, Engine, MediumConfig, Message, MessageId, SimMetrics, SourceId, Ticks};
 use ddcr_tree::closed_form::xi_closed;
 use ddcr_tree::divide::xi_divide;
 use ddcr_tree::search::search_active_leaves;
