@@ -57,7 +57,7 @@ pub use metrics::{
     SimMetrics, StationMetrics, XiBoundTable, HISTOGRAM_BUCKETS,
 };
 pub use span::{ChannelSpan, SteppedSlot};
-pub use station::{AttemptCycleHint, SearchHint, Station, WakeHint};
+pub use station::{AttemptCycleHint, Station, WakeHint};
 pub use stats::{ChannelStats, QuantileError};
 pub use time::Ticks;
 pub use trace::{

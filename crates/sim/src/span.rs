@@ -35,14 +35,6 @@ pub enum ChannelSpan {
         /// Slot width in ticks.
         slot: Ticks,
     },
-    /// A contention run: every decision slot it resolved, in channel
-    /// order, the first starting at `from`.
-    Search {
-        /// Start of the run.
-        from: Ticks,
-        /// The resolved slots.
-        slots: Vec<SteppedSlot>,
-    },
     /// `cycles` loaded idle cycles from `from`: each `probes` silent probe
     /// slots followed by one destructively collided attempt slot, every
     /// slot `slot` ticks wide (see [`crate::AttemptCycleHint`]).
@@ -63,9 +55,7 @@ impl ChannelSpan {
     pub fn start(&self) -> Ticks {
         match *self {
             ChannelSpan::Slot(s) => s.at,
-            ChannelSpan::Silence { from, .. }
-            | ChannelSpan::Search { from, .. }
-            | ChannelSpan::Cycles { from, .. } => from,
+            ChannelSpan::Silence { from, .. } | ChannelSpan::Cycles { from, .. } => from,
         }
     }
 
@@ -74,7 +64,6 @@ impl ChannelSpan {
         match *self {
             ChannelSpan::Slot(s) => s.next_free,
             ChannelSpan::Silence { from, slots, slot } => from + slot * slots,
-            ChannelSpan::Search { from, ref slots } => slots.last().map_or(from, |s| s.next_free),
             ChannelSpan::Cycles {
                 from,
                 cycles,
@@ -87,10 +76,9 @@ impl ChannelSpan {
     /// The part of the span from channel time `at` on: it replays exactly
     /// the slots of the whole that start at or after `at`.
     ///
-    /// `None` unless `at` lies strictly inside the span at a decision-slot
-    /// boundary the span can be cut at: any slot boundary of a silence run,
-    /// any slot start of a contention run. A single slot and an analytic
-    /// cycle run are never cut.
+    /// `None` unless `at` lies strictly inside a silence run at one of its
+    /// slot boundaries. A single slot and an analytic cycle run are never
+    /// cut.
     pub fn tail_from(&self, at: Ticks) -> Option<ChannelSpan> {
         if at <= self.start() || at >= self.end() {
             return None;
@@ -102,13 +90,6 @@ impl ChannelSpan {
                     from: at,
                     slots: slots - skipped,
                     slot,
-                })
-            }
-            ChannelSpan::Search { ref slots, .. } => {
-                let cut = slots.iter().position(|s| s.at == at)?;
-                Some(ChannelSpan::Search {
-                    from: at,
-                    slots: slots[cut..].to_vec(),
                 })
             }
             ChannelSpan::Slot(_) | ChannelSpan::Cycles { .. } => None,
@@ -125,11 +106,6 @@ impl ChannelSpan {
                 for i in 0..slots {
                     let at = from + slot * i;
                     station.observe(at, at + slot, &Observation::Silence);
-                }
-            }
-            ChannelSpan::Search { ref slots, .. } => {
-                for s in slots {
-                    station.observe(s.at, s.next_free, &s.observation);
                 }
             }
             ChannelSpan::Cycles {
@@ -211,16 +187,6 @@ mod tests {
     #[test]
     fn every_cut_replays_like_the_whole_span() {
         let slot = Ticks(10);
-        // Contention run: a collision, a 25-tick frame (which cannot be
-        // cut inside), then silence.
-        let search = ChannelSpan::Search {
-            from: Ticks(100),
-            slots: vec![
-                stepped(100, Observation::Collision { survivor: None }),
-                busy(110, 25),
-                stepped(135, Observation::Silence),
-            ],
-        };
         // (span, the slot-aligned cuts strictly inside it that must split)
         let table: Vec<(ChannelSpan, Vec<u64>)> = vec![
             (
@@ -235,7 +201,8 @@ mod tests {
                 },
                 vec![110, 120, 130],
             ),
-            (search, vec![110, 135]),
+            // A 25-tick frame is one slot: never cut inside.
+            (ChannelSpan::Slot(busy(100, 25)), vec![]),
             (
                 ChannelSpan::Cycles {
                     from: Ticks(100),
