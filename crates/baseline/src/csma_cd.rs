@@ -206,11 +206,11 @@ impl Station for CsmaCdStation {
     }
 
     fn wake_hint(&self) -> WakeHint {
-        // With an empty queue the station can only be woken by `deliver`:
-        // poll() returns Idle regardless of backoff, and every observation
-        // merely decrements the backoff counter — which the batched
-        // `catch_up` replays exactly.
-        if self.queue.is_empty() {
+        // A parked station observes nothing and publishes no shared state,
+        // so it may sleep only while no observation changes it: an empty
+        // queue (poll() is Idle and no frame of its own can be on the
+        // wire) and no backoff left to count down.
+        if self.queue.is_empty() && self.backoff == 0 {
             WakeHint::Dormant
         } else {
             WakeHint::Active

@@ -141,8 +141,8 @@ impl Station for NpEdfOracle {
     fn wake_hint(&self) -> WakeHint {
         // With an empty queue the oracle is inert until the next `deliver`:
         // poll() is Idle and `observe` only ever pops this queue's own head
-        // (impossible while empty), so the batched catch-up is trivially
-        // exact.
+        // (impossible while empty), so the observations a parked oracle
+        // misses would not have changed it.
         if self.queue.is_empty() {
             WakeHint::Dormant
         } else {

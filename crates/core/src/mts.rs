@@ -85,7 +85,7 @@ impl Interval {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MtsSearch {
     shape: TreeShape,
     /// Intervals still to probe; the top of the stack (last element) is
@@ -97,6 +97,28 @@ pub struct MtsSearch {
     collision_slots: u64,
     /// Empty slots consumed so far.
     empty_slots: u64,
+}
+
+impl Clone for MtsSearch {
+    fn clone(&self) -> Self {
+        MtsSearch {
+            shape: self.shape,
+            stack: self.stack.clone(),
+            highest_searched: self.highest_searched,
+            collision_slots: self.collision_slots,
+            empty_slots: self.empty_slots,
+        }
+    }
+
+    /// Reuses this search's stack buffer, so copying one replica's search
+    /// into another allocates nothing once the buffer is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.shape = source.shape;
+        self.stack.clone_from(&source.stack);
+        self.highest_searched = source.highest_searched;
+        self.collision_slots = source.collision_slots;
+        self.empty_slots = source.empty_slots;
+    }
 }
 
 impl MtsSearch {

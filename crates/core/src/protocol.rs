@@ -80,7 +80,7 @@ impl ProtocolCounters {
     /// collisions and interference. The private subset — `attempts`,
     /// `transmitted`, `burst_continuations`, `crashes`, `rejoins` — counts
     /// this station's own actions and never changes while it stays silent,
-    /// so a quiet replica catching up after a contention fast-forward keeps
+    /// so a parked replica adopting a witness's shared state on wake keeps
     /// its own values.
     fn adopt_shared(&mut self, other: &ProtocolCounters) {
         self.tts_runs = other.tts_runs;
@@ -93,18 +93,18 @@ impl ProtocolCounters {
     }
 }
 
-/// The opaque checkpoint a synced replica publishes through
-/// [`Station::resync_checkpoint`], for quiet replicas at the end of a
-/// contention fast-forward run and parked replicas on wake.
-///
-/// Carries the replica's epoch coordinates plus its full counter block; a
-/// catching-up replica rebuilds the shared automaton from the stamp (the
-/// proven resynchronization mechanism), catches up on only the channel
-/// spans since the epoch began, and adopts the shared counter subset —
-/// `O(final epoch)` work instead of `O(whole run)`.
-#[derive(Debug, Clone, Copy)]
-struct SearchCheckpoint {
-    stamp: EpochStamp,
+/// The shared replica state a synced station publishes through
+/// [`Station::resync_checkpoint`] and a waking parked replica installs
+/// through [`Station::resync_adopt`]: the automaton phase, `reft`, the
+/// burst reservation, the epoch coordinates and the counter block (of
+/// which only the shared subset is adopted). Every synced replica agrees
+/// on all of it except the private counters (§4).
+#[derive(Debug)]
+struct SharedState {
+    phase: Phase,
+    reft: Ticks,
+    burst_reserved_for: Option<SourceId>,
+    epoch: EpochStamp,
     counters: ProtocolCounters,
 }
 
@@ -116,7 +116,7 @@ struct TtsState {
 }
 
 /// Protocol phase; shared-deterministic across replicas.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum Phase {
     /// Running a time tree search.
     Tts(TtsState),
@@ -128,6 +128,53 @@ enum Phase {
     },
     /// The single CSMA-CD attempt slot following a time tree search.
     Attempt,
+}
+
+impl Clone for Phase {
+    fn clone(&self) -> Self {
+        match self {
+            Phase::Tts(state) => Phase::Tts(state.clone()),
+            Phase::Sts {
+                search,
+                collided_leaf,
+                saved,
+            } => Phase::Sts {
+                search: search.clone(),
+                collided_leaf: *collided_leaf,
+                saved: saved.clone(),
+            },
+            Phase::Attempt => Phase::Attempt,
+        }
+    }
+
+    /// Reuses the search stacks when both phases are the same variant, so
+    /// a waking replica adopting the witness's phase allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Phase::Tts(mine), Phase::Tts(theirs)) => {
+                mine.search.clone_from(&theirs.search);
+                mine.transmitted_any = theirs.transmitted_any;
+            }
+            (
+                Phase::Sts {
+                    search,
+                    collided_leaf,
+                    saved,
+                },
+                Phase::Sts {
+                    search: their_search,
+                    collided_leaf: their_leaf,
+                    saved: their_saved,
+                },
+            ) => {
+                search.clone_from(their_search);
+                *collided_leaf = *their_leaf;
+                saved.search.clone_from(&their_saved.search);
+                saved.transmitted_any = their_saved.transmitted_any;
+            }
+            (mine, theirs) => *mine = theirs.clone(),
+        }
+    }
 }
 
 /// What this slot means for this station (computed from the phase without
@@ -731,8 +778,10 @@ impl Station for DdcrStation {
         // Dormancy is exactly the regime `next_ready` answers `None` for
         // while Online: an empty queue, no burst reservation, and the
         // time-free TTs/Attempt idle cycle, in which this replica is
-        // provably silent and every deferred catch-up primitive replays
-        // exactly. A resynchronizing replica stays live (its per-slot
+        // provably silent and its private state moves with no
+        // observation, so adopting a synced replica's shared state on
+        // wake (`resync_adopt`) stands in for every slot it missed. A
+        // resynchronizing replica stays live (its per-slot
         // buffering and hint vetoes must be consulted), and a synced
         // replica outside the idle cycle — mid STs, or under a burst
         // reservation — stays live so the shared-state vetoes of the idle
@@ -748,43 +797,50 @@ impl Station for DdcrStation {
         }
     }
 
-    fn resync_checkpoint(&self) -> Option<(Ticks, Box<dyn std::any::Any + Send>)> {
-        // Epoch coordinates plus the full counter block. Only a synced
-        // replica can vouch for the shared automaton.
+    fn resync_checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        // Only a synced replica can vouch for the shared automaton.
         if !matches!(self.mode, Mode::Online) {
             return None;
         }
-        let stamp = self.epoch_stamp();
-        Some((
-            stamp.start,
-            Box::new(SearchCheckpoint {
-                stamp,
-                counters: self.counters,
-            }),
-        ))
-    }
-
-    fn resync_rebase(&mut self, checkpoint: &dyn std::any::Any) -> bool {
-        // The parked envelope guarantees this replica is Online, silent,
-        // and empty-queued over the whole dormant span, so the epoch
-        // rebuild that backs crash-restart resynchronization applies
-        // verbatim: the shared state at the boundary is a pure function of
-        // the stamp, and the tail replay the engine runs next reproduces
-        // everything since.
-        let Some(cp) = checkpoint.downcast_ref::<SearchCheckpoint>() else {
-            return false;
-        };
-        if !matches!(self.mode, Mode::Online) {
-            return false;
-        }
-        self.reinitialize_at_epoch(cp.stamp);
-        true
+        Some(Box::new(SharedState {
+            phase: self.phase.clone(),
+            reft: self.reft,
+            burst_reserved_for: self.burst_reserved_for,
+            epoch: self.epoch_stamp(),
+            counters: self.counters,
+        }))
     }
 
     fn resync_adopt(&mut self, checkpoint: &dyn std::any::Any) {
-        if let Some(cp) = checkpoint.downcast_ref::<SearchCheckpoint>() {
-            self.counters.adopt_shared(&cp.counters);
+        // A parked replica is Online, silent and empty-queued over its
+        // whole dormant span, so the slots it missed could only have moved
+        // its shared state, which every synced replica holds alike (§4),
+        // plus the two private caches reset below.
+        let Some(shared) = checkpoint.downcast_ref::<SharedState>() else {
+            return;
+        };
+        if !matches!(self.mode, Mode::Online) {
+            return;
         }
+        if shared.epoch.start != self.epoch_start {
+            // An epoch began since this replica parked: its `start_tts`
+            // dropped the frozen time index.
+            self.time_index = None;
+            self.time_index_for = None;
+        }
+        if matches!(shared.phase, Phase::Sts { .. }) {
+            // A replica parks only in TTs or Attempt, so this STs began
+            // since, resetting the cursor, and a silent replica sent
+            // nothing in it.
+            self.sts_cursor = 0;
+        }
+        self.phase.clone_from(&shared.phase);
+        self.reft = shared.reft;
+        self.burst_reserved_for = shared.burst_reserved_for;
+        self.epoch_start = shared.epoch.start;
+        self.epoch_reft = shared.epoch.reft;
+        self.epoch_burst = shared.epoch.burst;
+        self.counters.adopt_shared(&shared.counters);
     }
 
     fn attempt_cycle_hint(&self, now: Ticks, slot: Ticks) -> Option<AttemptCycleHint> {
@@ -1590,38 +1646,173 @@ mod tests {
                 &snapshots[i + 1],
             );
         }
-        // Every (start, end) window is a possible stretch of stepped slots
-        // a parked replica sleeps through. When the checkpoint's epoch
-        // began inside the window the replica wakes as the engine's wake
-        // anchor has it: rebased onto that epoch, caught up on the slots
-        // from there on, adopting the shared counters.
-        let mut anchored_windows = 0;
+        // Every (start, end) window from a dormant start is a possible
+        // stretch of stepped slots a parked replica sleeps through. It
+        // wakes as the engine wakes it: adopting the shared state a
+        // contending replica publishes after the window.
+        let mut adopted_windows = 0;
         for start in 0..records.len() {
-            for end in start..records.len() {
-                let Some((epoch, checkpoint)) = &checkpoints[end] else {
-                    continue;
-                };
-                let Some(first) = (start..=end + 1)
-                    .find(|&j| records.get(j).map_or(records[end].next_free, |r| r.at) == *epoch)
-                else {
-                    continue;
-                };
-                let label = format!("window {start}..={end}");
-                let mut rebased = snapshots[start].clone();
-                assert!(rebased.resync_rebase(checkpoint.as_ref()), "{label}");
-                for record in &records[first..=end] {
-                    rebased.catch_up(&ChannelSpan::Slot(*record));
-                }
-                rebased.resync_adopt(checkpoint.as_ref());
+            if snapshots[start].wake_hint() != WakeHint::Dormant {
+                continue;
+            }
+            for (end, checkpoint) in checkpoints.iter().enumerate().skip(start) {
+                let checkpoint = checkpoint.as_ref().expect("a synced replica publishes");
+                let mut woken = snapshots[start].clone();
+                woken.resync_adopt(checkpoint.as_ref());
                 assert_eq!(
-                    full_digest(&rebased),
+                    full_digest(&woken),
                     full_digest(&snapshots[end + 1]),
-                    "{label} rebased"
+                    "window {start}..={end} adopted"
                 );
-                anchored_windows += 1;
+                adopted_windows += 1;
             }
         }
-        assert!(anchored_windows > 0, "no window crossed an epoch boundary");
+        assert!(adopted_windows > 0, "the quiet replica was never dormant");
+    }
+
+    mod copy_equals_replay {
+        use super::*;
+        use proptest::prelude::*;
+
+        const SLOTS: u64 = 160;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Copy equals replay, over random channel histories on a
+            /// 4-station bus: TTs and STs collisions, bursting, θ > 0,
+            /// erased frames (`Garbled`) and corrupted slots. Station 3
+            /// stops observing at a dormant point and later adopts the
+            /// checkpoint of station 0, which observed every slot. It must
+            /// equal station 3 fed every slot: the same shared digest, the
+            /// same counters (its private ones did not move while it sat
+            /// silent), and the same polls for a freshly delivered message
+            /// over the recorded slots that follow.
+            #[test]
+            fn adopting_the_witness_state_equals_replay(
+                theta in 0u64..3,
+                bursting in any::<bool>(),
+                // (source, slot index, relative deadline): narrow deadlines
+                // so same-class collisions run static searches often.
+                raw in prop::collection::vec(
+                    (0u32..4, 0u64..SLOTS, 200_000u64..400_000),
+                    4..40,
+                ),
+                // (slot index, corrupt the slot rather than erase its frame)
+                raw_faults in prop::collection::vec((0u64..SLOTS, any::<bool>()), 0..4),
+                fresh_deadline in 50_000u64..600_000,
+                picks in prop::collection::vec(0usize..10_000, 4),
+            ) {
+                let slot = Ticks(512);
+                let mut cfg = DdcrConfig::for_sources(4, Ticks(100_000))
+                    .unwrap()
+                    .with_compressed_time(theta);
+                if bursting {
+                    cfg = cfg.with_bursting(crate::config::BurstConfig {
+                        max_extra_bits: 16_384,
+                    });
+                }
+                let allocation = StaticAllocation::one_per_source(cfg.static_tree, 4).unwrap();
+                let mut stations: Vec<DdcrStation> = (0..4)
+                    .map(|i| DdcrStation::new(SourceId(i), cfg, &allocation, 208).unwrap())
+                    .collect();
+                // State after k slots: station 3 and station 0's
+                // checkpoint; slot k itself, and whether it delivers to
+                // station 3.
+                let mut snapshots = vec![stations[3].clone()];
+                let mut checkpoints = vec![stations[0].resync_checkpoint().unwrap()];
+                let mut records = Vec::new();
+                let mut wakes_3 = Vec::new();
+                let mut now = Ticks::ZERO;
+                for k in 0..SLOTS {
+                    let mut woken = false;
+                    for (id, &(source, at, deadline)) in raw.iter().enumerate() {
+                        if at == k {
+                            let message = Message {
+                                bits: 1_000,
+                                ..msg(id as u64, source, now.as_u64(), deadline)
+                            };
+                            stations[source as usize].deliver(message);
+                            woken |= source == 3;
+                        }
+                    }
+                    wakes_3.push(woken);
+                    let frames: Vec<Frame> = stations
+                        .iter_mut()
+                        .filter_map(|s| match s.poll(now) {
+                            Action::Transmit(f) => Some(f),
+                            Action::Idle => None,
+                        })
+                        .collect();
+                    let (mut observation, mut advance) = match frames.len() {
+                        0 => (Observation::Silence, slot),
+                        1 => (Observation::Busy(frames[0]), frames[0].duration()),
+                        _ => (Observation::Collision { survivor: None }, slot),
+                    };
+                    for &(at, corrupt) in &raw_faults {
+                        if at != k {
+                            continue;
+                        }
+                        if corrupt {
+                            observation = Observation::Collision { survivor: None };
+                            advance = slot;
+                        } else if let Observation::Busy(frame) = observation {
+                            observation = Observation::Garbled;
+                            advance = frame.duration();
+                        }
+                    }
+                    let next_free = now + advance;
+                    for station in &mut stations {
+                        station.observe(now, next_free, &observation);
+                    }
+                    records.push(SteppedSlot {
+                        at: now,
+                        next_free,
+                        observation,
+                    });
+                    now = next_free;
+                    snapshots.push(stations[3].clone());
+                    checkpoints.push(stations[0].resync_checkpoint().unwrap());
+                }
+                let dormant: Vec<usize> = (0..snapshots.len())
+                    .filter(|&k| snapshots[k].wake_hint() == WakeHint::Dormant)
+                    .collect();
+                prop_assume!(!dormant.is_empty());
+                for pick in picks {
+                    let start = dormant[pick % dormant.len()];
+                    // The window ends where a delivery would wake the
+                    // sleeper; the replica fed every slot stays silent
+                    // until then.
+                    let last = (start..SLOTS as usize)
+                        .find(|&k| wakes_3[k])
+                        .unwrap_or(SLOTS as usize);
+                    for end in start..=last {
+                        let tag = format!("theta={theta} bursting={bursting} window {start}..{end}");
+                        let mut woken = snapshots[start].clone();
+                        woken.resync_adopt(checkpoints[end].as_ref());
+                        let mut fed = snapshots[end].clone();
+                        prop_assert_eq!(
+                            woken.shared_state_digest(),
+                            fed.shared_state_digest(),
+                            "{}",
+                            tag
+                        );
+                        prop_assert_eq!(woken.counters(), fed.counters(), "{}", tag);
+                        let Some(first) = records.get(end) else {
+                            continue;
+                        };
+                        let fresh = msg(10_000, 3, first.at.as_u64(), fresh_deadline);
+                        woken.deliver(fresh);
+                        fed.deliver(fresh);
+                        for record in records.iter().skip(end).take(24) {
+                            prop_assert_eq!(woken.poll(record.at), fed.poll(record.at), "{}", tag);
+                            woken.observe(record.at, record.next_free, &record.observation);
+                            fed.observe(record.at, record.next_free, &record.observation);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

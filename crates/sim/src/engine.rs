@@ -15,7 +15,7 @@ use crate::fault::{fence_cap, FaultPlan, SlotFaults};
 use crate::membership::{MembershipChange, MembershipPlan, ABSENT};
 use crate::message::{Delivery, Frame, Message};
 use crate::metrics::{PhaseHint, ProtocolPhase, SimMetrics, XiBoundTable};
-use crate::span::{ChannelSpan, SteppedSlot};
+use crate::span::ChannelSpan;
 use crate::station::{Station, WakeHint};
 use crate::stats::ChannelStats;
 use crate::time::Ticks;
@@ -69,8 +69,8 @@ impl std::error::Error for SimError {}
 
 /// Per-station hot state, split out of the boxed `Station` trait objects
 /// into parallel structure-of-arrays columns: the fields the engine
-/// touches on every decision slot (fencing, wake bookkeeping) live in
-/// three dense arrays, so the per-slot scans are cache-linear instead of
+/// touches on every decision slot (fencing, park flags) live in dense
+/// arrays, so the per-slot scans are cache-linear instead of
 /// chasing one heap allocation per station.
 #[derive(Debug, Default)]
 struct StationHot {
@@ -93,16 +93,6 @@ struct StationHot {
     /// [`WakeHint::Dormant`]). A parked station is never down and never in
     /// the `active` index.
     parked: Vec<bool>,
-    /// For a parked station: the absolute index (see
-    /// `Engine::catchup_base`) of the first catch-up log entry it has not
-    /// replayed yet — its next-wake position in the deferred channel
-    /// history.
-    cursor: Vec<u64>,
-    /// Whether compaction lifted the parked station's cursor past entries
-    /// it never replayed, up to the wake anchor's epoch entry: such a
-    /// station can only wake through the anchor (see
-    /// `Engine::compact_catchup`).
-    lifted: Vec<bool>,
 }
 
 impl StationHot {
@@ -116,87 +106,6 @@ impl StationHot {
             .filter(|&restart| restart != ABSENT)
             .min()
     }
-}
-
-/// The engine-held epoch-anchored wake shortcut: a resynchronization
-/// checkpoint captured from a fully caught-up station (see
-/// [`Station::resync_checkpoint`]), refreshed on every park and wake. A
-/// fault or membership transition leaves it valid: the checkpoint is a
-/// function of the channel history up to its capture point, which no
-/// transition rewrites. A station that parked before
-/// the checkpoint's epoch boundary wakes by rebasing onto the boundary and
-/// replaying only the log tail from it — `O(final epoch)` instead of
-/// `O(dormant span)`. Since nothing before the boundary is ever replayed
-/// on that path, compaction also trims the catch-up log to the boundary.
-struct WakeAnchor {
-    /// Channel time of the epoch boundary the checkpoint rebuilds at.
-    epoch_start: Ticks,
-    /// Absolute catch-up log index at capture time: the donor had observed
-    /// exactly the entries below it, so its counter block is exact there.
-    at: u64,
-    /// The opaque protocol checkpoint.
-    checkpoint: Box<dyn std::any::Any + Send>,
-}
-
-impl WakeAnchor {
-    /// Where the anchor enters `log`, whose front entry has absolute index
-    /// `base`: its epoch entry as [`entry_at`] finds it, and the log
-    /// position the checkpoint is exact at. `None` when the capture point
-    /// has left the log or the entry does not lie before it.
-    fn entry(
-        &self,
-        log: &[ChannelSpan],
-        base: u64,
-    ) -> Option<((usize, Option<ChannelSpan>), usize)> {
-        let k = self.at.checked_sub(base)? as usize;
-        let entry = entry_at(log, self.epoch_start)?;
-        (entry.0 + usize::from(entry.1.is_some()) <= k).then_some((entry, k))
-    }
-}
-
-/// Where the contiguous `spans` are entered at the epoch boundary `epoch`:
-/// the index of the first span touched, plus that span's tail from the
-/// boundary when it falls strictly inside it (see [`ChannelSpan::tail_from`]).
-/// `None` when the epoch began before the spans or inside an uncuttable one.
-fn entry_at(spans: &[ChannelSpan], epoch: Ticks) -> Option<(usize, Option<ChannelSpan>)> {
-    let t = spans.partition_point(|s| s.start() < epoch);
-    if spans.get(t).is_some_and(|s| s.start() == epoch) {
-        return Some((t, None));
-    }
-    let prev = &spans[t.checked_sub(1)?];
-    if epoch < prev.end() {
-        return Some((t - 1, Some(prev.tail_from(epoch)?)));
-    }
-    // Past the last span: an empty tail (a gap in the log is defensive).
-    (t == spans.len()).then_some((t, None))
-}
-
-/// The catch-up log's minimum compaction watermark, in entries. It doubles
-/// past what a compaction leaves behind, so compaction stays amortised
-/// O(1) per append.
-const CATCHUP_MIN_ENTRIES: usize = 64;
-
-/// The epoch-anchored catch-up of a parked station on wake: rebases
-/// `station` onto `checkpoint`'s epoch boundary, catches up on
-/// `spans[first..to]` entered as [`entry_at`] found, and adopts the
-/// checkpoint's shared counters, exact at `to`. Returns `false`, leaving
-/// the station untouched, when it refuses the rebase.
-fn rebase_catch_up(
-    station: &mut dyn Station,
-    checkpoint: &dyn std::any::Any,
-    spans: &[ChannelSpan],
-    (first, cut): &(usize, Option<ChannelSpan>),
-    to: usize,
-) -> bool {
-    if !station.resync_rebase(checkpoint) {
-        return false;
-    }
-    let whole = first + usize::from(cut.is_some());
-    for span in cut.iter().chain(&spans[whole..to]) {
-        station.catch_up(span);
-    }
-    station.resync_adopt(checkpoint);
-    true
 }
 
 /// The simulation engine: one broadcast medium plus its stations.
@@ -233,8 +142,8 @@ pub struct Engine {
     /// events are keyed by, identical under fast-forward and reference
     /// stepping.
     slot_ordinal: u64,
-    /// The per-station hot state (down/absent fencing, park flags, wake
-    /// cursors), SoA-split out of the boxed stations — see [`StationHot`].
+    /// The per-station hot state (down/absent fencing, park flags),
+    /// SoA-split out of the boxed stations — see [`StationHot`].
     hot: StationHot,
     /// The active-set index: station indices not currently parked, in
     /// ascending attachment order (so every active-set loop visits
@@ -244,44 +153,21 @@ pub struct Engine {
     active: Vec<usize>,
     /// Count of parked stations (`hot.parked` trues).
     parked_count: usize,
-    /// The shared catch-up log of deferred channel operations; one entry
-    /// serves every parked station, each tracking its own replay cursor.
-    /// Bounded by the wake anchor's epoch, not by the run: compaction drops
-    /// the prefix before the anchor's epoch entry, lifting older cursors to
-    /// it (see [`Engine::compact_catchup`]), so a station that never wakes
-    /// does not pin the log.
-    catchup: Vec<ChannelSpan>,
-    /// Absolute index of `catchup`'s front entry: compaction drops
-    /// replayed prefixes without renumbering cursors.
-    catchup_base: u64,
-    /// Entry compaction trigger: when the log reaches this many entries,
-    /// compact and double the watermark past what is left.
-    catchup_watermark: usize,
-    /// The most entries the log has held at once (see
-    /// [`Engine::catchup_peak_slots`]).
-    catchup_peak: usize,
-    /// Count of parked stations whose cursor compaction lifted
-    /// (`hot.lifted` trues).
-    lifted_count: usize,
-    /// The highest absolute log index a cursor was lifted to: a
-    /// replacement wake anchor must enter the log at or after it, or the
-    /// lifted stations could not wake through it.
-    lift_floor: u64,
     /// Active-set scheduling (on by default): dormant stations are parked
-    /// out of the per-slot loops and caught up in batches on wake.
-    /// Independently switchable from the other tiers for bisection.
+    /// out of the per-slot loops and adopt the witness's shared state on
+    /// wake. Independently switchable from the other tiers for bisection.
     active_set: bool,
     /// Count of `Station::poll` calls issued so far — the telemetry the
     /// active-set scale tests assert on (polled station-slots vs. the
     /// `slot_ordinal × station_count` total).
     polls: u64,
-    /// Count of catch-up log entries replayed into waking stations —
-    /// telemetry for the epoch-anchored wake shortcut (stays near the
-    /// final-epoch tail size per wake when the shortcut engages, grows
-    /// with the dormant span when it cannot).
+    /// Count of parked stations woken so far (see [`Engine::replay_count`]).
     replays: u64,
-    /// The epoch-anchored wake shortcut, when one is available.
-    anchor: Option<WakeAnchor>,
+    /// The witness's shared state (see [`Station::resync_checkpoint`]) at
+    /// the slot ordinal it was taken at: every wake at one channel
+    /// position adopts the same checkpoint, so it is taken once per
+    /// position. `None` until the first wake.
+    wake_state: Option<(u64, Option<Box<dyn std::any::Any + Send>>)>,
     /// The scheduled membership changes (empty by default: zero overhead).
     membership: MembershipPlan,
     /// Cached `stations backlog + pending` total; valid when not stale.
@@ -339,16 +225,10 @@ impl Engine {
             hot: StationHot::default(),
             active: Vec::new(),
             parked_count: 0,
-            catchup: Vec::new(),
-            catchup_base: 0,
-            catchup_watermark: CATCHUP_MIN_ENTRIES,
-            catchup_peak: 0,
-            lifted_count: 0,
-            lift_floor: 0,
             active_set: true,
             polls: 0,
             replays: 0,
-            anchor: None,
+            wake_state: None,
             membership: MembershipPlan::none(),
             backlog_cache: 0,
             backlog_stale: true,
@@ -367,8 +247,6 @@ impl Engine {
         self.stations.push(station);
         self.hot.down.push(None);
         self.hot.parked.push(false);
-        self.hot.cursor.push(0);
-        self.hot.lifted.push(false);
         self.backlog_stale = true;
         self
     }
@@ -540,9 +418,8 @@ impl Engine {
     /// With the scheduler on, stations whose [`Station::wake_hint`]
     /// promises dormancy are parked out of every per-slot loop — polls,
     /// tier-gating hint scans, and catch-up fan-outs all visit only the
-    /// active set — and receive their deferred observations in one batch
-    /// on their next wake (a delivery, a fault or membership transition,
-    /// or a channel event that could break the promise). Statistics,
+    /// active set — until their next wake (a delivery, a fault or
+    /// membership transition, or the end of a run). Statistics,
     /// traces, delivery schedules and metrics are bitwise identical to the
     /// full loops.
     ///
@@ -550,10 +427,10 @@ impl Engine {
     /// live active station that answers [`Station::phase_hint`] is never
     /// parked, whether metrics are on or off, so metered and unmetered
     /// runs take the same path and every slot has a live replica to
-    /// attribute it. Parked stations share one catch-up log, trimmed at
-    /// each compaction to the wake anchor's epoch entry: a station that
-    /// parked before it wakes by rebasing onto that epoch, so the log holds
-    /// about one epoch of history, not the whole dormant span.
+    /// attribute it. A parked station observes nothing: on wake it adopts
+    /// the witness's shared state (see [`Station::resync_adopt`]) in
+    /// O(1), however long it slept, so the engine keeps no record of the
+    /// channel history it missed.
     pub fn set_active_set(&mut self, enabled: bool) -> &mut Self {
         if !enabled {
             self.wake_all();
@@ -657,8 +534,8 @@ impl Engine {
     fn tracked_backlog(&mut self) -> usize {
         if self.backlog_stale {
             // Parked stations hold no backlog — an empty queue is a
-            // precondition for parking, and deferred observations never
-            // enqueue — so summing the active set equals summing everyone.
+            // precondition for parking, and a parked station observes
+            // nothing — so summing the active set equals summing everyone.
             self.backlog_cache = self
                 .active
                 .iter()
@@ -678,176 +555,61 @@ impl Engine {
         self.polls
     }
 
-    /// Count of catch-up log entries replayed into waking stations so far.
-    /// With the epoch-anchored wake shortcut engaged this grows by roughly
-    /// one final-epoch tail per wake; without it, by the whole dormant
-    /// span — the scale tests assert on the difference.
+    /// Count of parked stations woken so far: each wake is one adoption
+    /// of the witness's shared state (see [`Station::resync_adopt`]),
+    /// O(1) however long the station slept. The name stays because the
+    /// end-to-end benchmark in `benchmark/` reads it.
     pub fn replay_count(&self) -> u64 {
         self.replays
     }
 
-    /// The peak length of the catch-up log: the most entries it has held
-    /// at once (a stepped slot, a silence run or a run of attempt cycles is
-    /// one entry each). Compaction trims the log to the wake anchor's
-    /// epoch, so this stays near one epoch plus the compaction watermark
-    /// however long a station stays parked.
-    pub fn catchup_peak_slots(&self) -> u64 {
-        self.catchup_peak as u64
-    }
-
-    /// Appends one deferred channel operation to the catch-up log — a
-    /// no-op while nothing is parked, so the log costs nothing when the
-    /// scheduler is off or every station is active.
-    fn record_catchup(&mut self, entry: ChannelSpan) {
-        if self.parked_count == 0 {
-            return;
-        }
-        self.catchup.push(entry);
-        self.catchup_peak = self.catchup_peak.max(self.catchup.len());
-        if self.catchup.len() >= self.catchup_watermark {
-            self.compact_catchup();
-            self.catchup_watermark = (self.catchup.len() * 2).max(CATCHUP_MIN_ENTRIES);
-        }
-    }
-
-    /// Drops the catch-up prefix no parked station will replay: everything
-    /// before the lowest parked cursor, or before the wake anchor's epoch
-    /// entry if that lies further on. A parked station whose cursor is
-    /// older than that entry wakes through [`rebase_catch_up`], which never
-    /// reads the log before it, so its cursor is lifted there and marked
-    /// (a lifted station must wake while the anchor still serves it).
-    fn compact_catchup(&mut self) {
-        let min_cursor = self
-            .hot
-            .cursor
+    /// The witness: the first live active station that answers
+    /// [`Station::phase_hint`], which [`Engine::park_dormant`] never parks.
+    fn witness(&self) -> Option<usize> {
+        self.active
             .iter()
-            .zip(&self.hot.parked)
-            .filter(|&(_, &parked)| parked)
-            .map(|(&cursor, _)| cursor)
-            .min()
-            .unwrap_or(self.catchup_base + self.catchup.len() as u64);
-        let trim = self
-            .anchor
-            .as_ref()
-            .and_then(|anchor| anchor.entry(&self.catchup, self.catchup_base))
-            .map_or(min_cursor, |((first, _), _)| {
-                (self.catchup_base + first as u64).max(min_cursor)
-            });
-        if trim > min_cursor {
-            for idx in 0..self.stations.len() {
-                if self.hot.parked[idx] && self.hot.cursor[idx] < trim {
-                    self.hot.cursor[idx] = trim;
-                    if !std::mem::replace(&mut self.hot.lifted[idx], true) {
-                        self.lifted_count += 1;
-                    }
-                }
-            }
-            self.lift_floor = trim;
-        }
-        let dropped = (trim - self.catchup_base) as usize;
-        self.catchup.drain(..dropped);
-        self.catchup_base = trim;
+            .copied()
+            .find(|&idx| self.hot.down[idx].is_none() && self.stations[idx].phase_hint().is_some())
     }
 
-    /// Replays, in channel order, every deferred operation the parked
-    /// station at `idx` has not seen yet. When the wake anchor is valid for
-    /// it — captured in this log era after the epoch boundary, which the
-    /// station parked before — only the log tail from the boundary is
-    /// replayed (see [`rebase_catch_up`]). Either way the station lands in
-    /// exactly the state per-slot engagement would have left it in.
-    fn observe_skipped(&mut self, idx: usize) {
-        let start = (self.hot.cursor[idx] - self.catchup_base) as usize;
-        let len = self.catchup.len();
-        self.hot.cursor[idx] = self.catchup_base + len as u64;
-        let lifted = std::mem::take(&mut self.hot.lifted[idx]);
-        self.lifted_count -= usize::from(lifted);
-        if start == len && !lifted {
-            return;
-        }
-        let anchored = self.anchor.as_ref().and_then(|anchor| {
-            let (entry, k) = anchor.entry(&self.catchup, self.catchup_base)?;
-            (start <= entry.0).then_some((anchor.checkpoint.as_ref(), entry, k))
-        });
-        let station = self.stations[idx].as_mut();
-        let (first, resume) = match anchored {
-            Some((checkpoint, entry, k))
-                if rebase_catch_up(station, checkpoint, &self.catchup, &entry, k) =>
-            {
-                (entry.0, k)
-            }
-            _ => {
-                // The entries before a lifted cursor are gone: only the
-                // anchor can rebuild what the station missed there.
-                debug_assert!(!lifted, "lifted station {idx} refused its wake anchor");
-                (start, start)
-            }
-        };
-        for span in &self.catchup[resume..] {
-            station.catch_up(span);
-        }
-        self.replays += (len - first) as u64;
-    }
-
-    /// Captures a fresh wake anchor from the fully caught-up station at
-    /// `idx`, if it publishes one (see [`Station::resync_checkpoint`]).
+    /// Wakes the parked station at `idx`: hands it the witness's shared
+    /// state at the current channel position and reinstates it in the
+    /// active index.
     ///
-    /// Recapture is throttled: a still-current anchor less than
-    /// `ANCHOR_REFRESH_ENTRIES` log entries behind the head is kept as-is.
-    /// Anchors only pay off for stations dormant across many log entries —
-    /// a slightly stale anchor merely lengthens the short post-adopt tail
-    /// replay — while capturing one costs a heap allocation plus a counter
-    /// snapshot, which is pure overhead in wake-heavy workloads where parks
-    /// last a handful of slots.
-    fn capture_anchor(&mut self, idx: usize) {
-        const ANCHOR_REFRESH_ENTRIES: u64 = 32;
-        let head = self.catchup_base + self.catchup.len() as u64;
-        if let Some(anchor) = &self.anchor {
-            if anchor.at >= self.catchup_base && head - anchor.at < ANCHOR_REFRESH_ENTRIES {
-                return;
-            }
-        }
-        if let Some((epoch_start, checkpoint)) = self.stations[idx].resync_checkpoint() {
-            // Lifted stations can only wake through an anchor whose epoch
-            // entry lies at or after their cursors; keep the old anchor
-            // rather than strand them.
-            if self.lifted_count > 0
-                && entry_at(&self.catchup, epoch_start)
-                    .is_none_or(|(first, _)| self.catchup_base + (first as u64) < self.lift_floor)
-            {
-                return;
-            }
-            self.anchor = Some(WakeAnchor {
-                epoch_start,
-                at: self.catchup_base + self.catchup.len() as u64,
-                checkpoint,
-            });
-        }
-    }
-
-    /// Wakes the parked station at `idx`: replays its deferred
-    /// observations and reinstates it in the active index.
+    /// Every synced replica holds the same shared state, a function of the
+    /// epoch coordinates and the channel observations alone (§4), and a
+    /// parked station's private state does not move while it sleeps (see
+    /// [`WakeHint::Dormant`]). So adopting the witness's checkpoint leaves
+    /// the station exactly where observing every slot would have. Wakes at
+    /// one position share one checkpoint: every operation that reaches
+    /// the stations advances `slot_ordinal`, so the ordinal names the
+    /// position.
     fn wake_station(&mut self, idx: usize) {
         if !self.hot.parked[idx] {
             return;
         }
-        self.observe_skipped(idx);
+        if self
+            .wake_state
+            .as_ref()
+            .is_none_or(|&(at, _)| at != self.slot_ordinal)
+        {
+            let state = self
+                .witness()
+                .and_then(|witness| self.stations[witness].resync_checkpoint());
+            self.wake_state = Some((self.slot_ordinal, state));
+        }
+        if let Some((_, Some(state))) = &self.wake_state {
+            self.stations[idx].resync_adopt(state.as_ref());
+        }
+        self.replays += 1;
         self.hot.parked[idx] = false;
         self.parked_count -= 1;
         let pos = self.active.partition_point(|&a| a < idx);
         self.active.insert(pos, idx);
-        if self.parked_count == 0 {
-            self.catchup_base += self.catchup.len() as u64;
-            self.catchup.clear();
-        }
-        // The freshly woken station is caught up to the log head: refresh
-        // the wake anchor so later wakes rebase onto its current epoch.
-        self.capture_anchor(idx);
     }
 
     /// Wakes every parked station (scheduler shutdown, a sync for
-    /// inspection, and corrupted otherwise-silent slots — which no
-    /// transmitter carries the consequences of — invalidate parked-state
-    /// assumptions wholesale).
+    /// inspection).
     fn wake_all(&mut self) {
         if self.parked_count == 0 {
             return;
@@ -860,20 +622,17 @@ impl Engine {
     /// Wakes what a fault or membership transition needs awake, before it
     /// is applied: the stations it `named` (crashing, joining or leaving
     /// ones) and — when the transition takes down the witness (see
-    /// [`Engine::park_dormant`]) — the lowest parked station. Any parked
-    /// replica holds the synced shared state, so that one carries the
-    /// shared-state vetoes (mid-STs, or under a burst reservation) in the
-    /// witness's place. Every other parked station stays parked, its
-    /// cursor and the wake anchor still valid, so a transition costs O(1)
-    /// wakes however many stations sleep.
+    /// [`Engine::park_dormant`]) — the lowest parked station. It adopts
+    /// the witness's shared state before the transition takes the witness
+    /// down, then carries the shared-state vetoes (mid-STs, or under a
+    /// burst reservation) in the witness's place. Every other parked
+    /// station stays parked, so a transition costs O(1) wakes however many
+    /// stations sleep.
     fn wake_for_transition(&mut self, named: &[usize]) {
         if self.parked_count == 0 {
             return;
         }
-        let witness =
-            self.active.iter().copied().find(|&idx| {
-                self.hot.down[idx].is_none() && self.stations[idx].phase_hint().is_some()
-            });
+        let witness = self.witness();
         for &idx in named {
             self.wake_station(idx);
         }
@@ -905,7 +664,6 @@ impl Engine {
             return;
         }
         let mut witness = false;
-        let mut first_parked = None;
         let mut k = 0;
         while k < self.active.len() {
             let idx = self.active[k];
@@ -919,17 +677,10 @@ impl Engine {
             {
                 self.active.remove(k);
                 self.hot.parked[idx] = true;
-                self.hot.cursor[idx] = self.catchup_base + self.catchup.len() as u64;
                 self.parked_count += 1;
-                first_parked.get_or_insert(idx);
             } else {
                 k += 1;
             }
-        }
-        // A parking station has observed everything up to the log head:
-        // its checkpoint anchors the wakes of this dormancy era.
-        if let Some(idx) = first_parked {
-            self.capture_anchor(idx);
         }
     }
 
@@ -1145,13 +896,12 @@ impl Engine {
             slot,
         };
         self.catch_up_live(&span);
-        self.record_catchup(span);
         self.now += slot * slots;
         self.slot_ordinal += slots;
     }
 
     /// Catches every live active station up on `span` (parked stations
-    /// get it from the catch-up log on wake).
+    /// adopt the witness's shared state on wake instead).
     fn catch_up_live(&mut self, span: &ChannelSpan) {
         for &idx in &self.active {
             if self.hot.down[idx].is_none() {
@@ -1313,7 +1063,6 @@ impl Engine {
             slot,
         };
         self.catch_up_live(&run);
-        self.record_catchup(run);
         self.now = from + span * cycles;
         self.slot_ordinal += cycles * (probes + 1);
     }
@@ -1329,10 +1078,7 @@ impl Engine {
     /// station with an empty queue. So a crash wakes only the crashing
     /// stations, plus a replacement when it takes down the witness (see
     /// [`Engine::wake_for_transition`]); every other parked replica stays
-    /// parked and catches up on the channel spans as before. For the same
-    /// reason neither a crash nor a restart drops the wake anchor: its
-    /// checkpoint is the shared state at a point of the channel history,
-    /// and parked and lifted stations keep waking through it.
+    /// parked and adopts the witness's shared state when it wakes.
     fn process_fault_transitions(&mut self) {
         let ordinal = self.slot_ordinal;
         let crashes: Vec<(u32, u64)> = self.faults.crashes_at(ordinal).collect();
@@ -1484,7 +1230,6 @@ impl Engine {
                 transmitters.push(frame);
             }
         }
-        let had_transmitters = !transmitters.is_empty();
         let slot = Ticks(self.medium.slot_ticks);
         // Attribute the slot before observations mutate the shared
         // automaton (poll never changes phase state; observe does).
@@ -1514,22 +1259,6 @@ impl Engine {
             self.stations[idx].observe(self.now, next_free, &observation);
         }
         self.active = active;
-        self.record_catchup(ChannelSpan::Slot(SteppedSlot {
-            at: self.now,
-            next_free,
-            observation,
-        }));
-        if self.parked_count > 0
-            && !had_transmitters
-            && !matches!(observation, Observation::Silence)
-        {
-            // A fault lane turned an otherwise-silent slot into noise with
-            // no transmitter on the channel: no active station need carry
-            // the protocol consequences (every synced witness may be
-            // parked), so the dormancy assumptions cannot be certified —
-            // catch everyone up, after logging the slot they must replay.
-            self.wake_all();
-        }
         self.now = next_free;
         self.slot_ordinal += 1;
     }
@@ -1679,9 +1408,9 @@ impl Engine {
                 self.stats.push_lost(msg);
             } else {
                 if self.hot.parked[idx] {
-                    // Catch the station up on everything it slept through
-                    // — in channel order, before the delivery — and
-                    // reinstate it in the poll loop.
+                    // Hand the station the shared state it slept through,
+                    // before the delivery, and reinstate it in the poll
+                    // loop.
                     self.wake_station(idx);
                 }
                 self.stations[idx].deliver(msg);

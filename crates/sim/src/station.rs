@@ -37,36 +37,35 @@ pub struct AttemptCycleHint {
 ///
 /// The active-set tier keeps per-slot cost proportional to *contenders*
 /// rather than *population*: a [`WakeHint::Dormant`] station is removed
-/// from the poll loop entirely, its channel observations are deferred into
-/// a catch-up log, and it is replayed in one batch on its next wake (a
-/// delivery, a fault/membership transition, or an engine event that could
-/// invalidate the promise).
+/// from the poll loop entirely and observes nothing while parked. On its
+/// next wake (a delivery, a fault or membership transition, or the end of
+/// a run) it adopts the shared state of the witness, a synced station the
+/// engine keeps live, through [`Station::resync_adopt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeHint {
     /// No promise: the station must stay in the per-slot loops (the
     /// conservative default, correct for every implementation).
     Active,
-    /// A standing promise, holding until the next [`Station::deliver`] or
-    /// until broken by a channel event the station itself would react to:
+    /// A standing promise, holding until the next [`Station::deliver`],
+    /// whatever the channel carries meanwhile:
     ///
-    /// * every [`Station::poll`] answers [`Action::Idle`] regardless of
-    ///   what the channel carries meanwhile;
-    /// * [`Station::backlog`] is `0` and stays `0` under any sequence of
-    ///   deferred observations;
+    /// * every [`Station::poll`] answers [`Action::Idle`];
+    /// * [`Station::backlog`] is `0`;
     /// * [`Station::next_ready`] is `None`, and
     ///   [`Station::attempt_cycle_hint`] is a silent observer compatible
     ///   with whatever cycle shape the contenders agree on — so the engine
     ///   may answer tier-gating queries on the station's behalf;
-    /// * the observation entry points ([`Station::observe`] and
-    ///   [`Station::catch_up`]) may be deferred and replayed later, in
-    ///   channel order with identical arguments, leaving the station in
-    ///   exactly the state immediate calls would have;
-    /// * crucially, the promise may only *stop* holding through an
-    ///   observation — so any channel event that breaks it is visible to
-    ///   the stations the engine kept live, which report `Active` in turn
-    ///   (shared-automaton protocols must therefore answer `Active`
-    ///   whenever the replicated state is outside the regime the promise
-    ///   describes, e.g. mid tree-search or under a burst reservation).
+    /// * the station receives no observations while parked: on wake it
+    ///   gets only the witness's shared state (see
+    ///   [`Station::resync_checkpoint`]), so everything else in it must be
+    ///   unchanged by the slots it missed. A station that publishes no
+    ///   shared state may answer `Dormant` only while no observation
+    ///   changes it at all;
+    /// * the shared state's own vetoes are carried by the witness, which
+    ///   the engine never parks: shared-automaton protocols must answer
+    ///   `Active` whenever the replicated state is outside the regime the
+    ///   promise describes (e.g. mid tree-search or under a burst
+    ///   reservation), so the witness refuses what a parked replica would.
     Dormant,
 }
 
@@ -130,9 +129,8 @@ pub trait Station: Send {
     }
 
     /// Absorbs a stretch of channel outcomes at once: a fast-forwarded
-    /// silence run (see [`Station::next_ready`]), a run of loaded idle
-    /// cycles (see [`Station::attempt_cycle_hint`]), or, on wake from
-    /// dormancy, each deferred operation of the catch-up log.
+    /// silence run (see [`Station::next_ready`]) or a run of loaded idle
+    /// cycles (see [`Station::attempt_cycle_hint`]).
     ///
     /// Must leave the station exactly as [`ChannelSpan::replay`] — one
     /// [`Station::observe`] per slot, in channel order — would. That replay
@@ -204,56 +202,35 @@ pub trait Station: Send {
     /// Queried by the engine at the end of each resolved operation when
     /// the active-set tier is enabled. Stations update the answer on
     /// [`Station::deliver`] and on observations (it is a pure function of
-    /// their state); a parked station is never polled and receives its
-    /// deferred observations in one batched catch-up on its next wake.
-    /// The default `Active` never parks and is correct for every
-    /// implementation.
+    /// their state); a parked station is neither polled nor observes, and
+    /// adopts the witness's shared state on its next wake. The default
+    /// `Active` never parks and is correct for every implementation.
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Active
     }
 
-    /// Publishes an epoch-anchored resynchronization checkpoint:
-    /// `(epoch start, opaque checkpoint)`, where the checkpoint describes
-    /// the shared replica state every synced station agrees on,
-    /// reconstructible from the epoch boundary plus the observation
-    /// sequence since it (the same soundness argument that backs
-    /// crash-restart resynchronization). A replicated protocol should
-    /// answer only while synced.
+    /// Publishes the shared replica state every synced station agrees on
+    /// as an opaque checkpoint. The shared state is a function of the
+    /// epoch coordinates and the channel observations alone (the argument
+    /// that also backs crash-restart resynchronization), so any synced
+    /// replica's checkpoint is every synced replica's. A replicated
+    /// protocol should answer only while synced.
     ///
-    /// The engine uses it to catch a station up across an epoch boundary
-    /// in `O(final epoch)` instead of `O(span)` work: the station is
-    /// rebased onto the boundary through [`Station::resync_rebase`],
-    /// replays only the channel spans from the boundary on through
-    /// [`Station::catch_up`], and adopts the shared counters through
-    /// [`Station::resync_adopt`]. Parked stations take that path on wake,
-    /// with a checkpoint the active-set scheduler captures from a fully
-    /// caught-up station whenever one parks or wakes. The default `None`
-    /// keeps every catch-up on the exact full-replay path.
-    fn resync_checkpoint(&self) -> Option<(Ticks, Box<dyn std::any::Any + Send>)> {
+    /// The engine takes one from the witness (the first live active
+    /// station answering [`Station::phase_hint`]) at each channel position
+    /// where a parked station wakes, and hands it to every station waking
+    /// there through [`Station::resync_adopt`]. The default `None` is for
+    /// stations with no shared state: a wake hands them nothing.
+    fn resync_checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
         None
     }
 
-    /// Rebases this provably silent (parked) station onto the epoch
-    /// boundary described by `checkpoint`,
-    /// discarding its stale shared automaton view. Returns `true` when the
-    /// checkpoint was understood and the rebase happened; `false` falls
-    /// back to full replay.
-    ///
-    /// After a successful rebase the engine replays the spans from the
-    /// epoch boundary on through [`Station::catch_up`], then calls
-    /// [`Station::resync_adopt`] with the same checkpoint at the channel
-    /// position it was captured at. The default refuses.
-    fn resync_rebase(&mut self, _checkpoint: &dyn std::any::Any) -> bool {
-        false
-    }
-
-    /// Adopts the shared (replica-invariant) counter block from
-    /// `checkpoint`, overwriting whatever the tail replay accumulated —
-    /// the checkpoint spans the whole dormant prefix, including operations
-    /// before the epoch boundary that the rebase discarded. Private
-    /// counters stay untouched: the station was provably silent. Only ever
-    /// called after a successful [`Station::resync_rebase`]. The default is
-    /// a no-op.
+    /// Installs `checkpoint`, the witness's shared state at the current
+    /// channel position, into this parked station, which observed nothing
+    /// since it parked. Must leave the station exactly as observing every
+    /// slot it missed would have: the shared state is copied, and private
+    /// state moves only where those observations would have moved it. The
+    /// default no-op fits a station with no shared state.
     fn resync_adopt(&mut self, _checkpoint: &dyn std::any::Any) {}
 }
 

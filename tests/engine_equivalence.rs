@@ -140,7 +140,7 @@ fn run_with_plan(
 
 /// One run-to-completion with metrics on or off, reduced to what the
 /// metrics contract compares: the run, the metrics, and the engine's poll
-/// and replay counters.
+/// and wake counters.
 fn run_metered(
     proto: Proto,
     z: u32,
@@ -157,7 +157,7 @@ fn run_metered(
     }
     engine.add_arrivals(arrivals.iter().copied()).unwrap();
     let outcome = Some(engine.run_to_completion(Ticks(60_000_000)));
-    let (polls, replays) = (engine.poll_count(), engine.replay_count());
+    let (polls, wakes) = (engine.poll_count(), engine.replay_count());
     let metrics = engine.take_metrics();
     let run = RunDigest {
         outcome,
@@ -165,7 +165,7 @@ fn run_metered(
         events: engine.trace().events().to_vec(),
         stats: engine.into_stats(),
     };
-    (run, metrics, polls, replays)
+    (run, metrics, polls, wakes)
 }
 
 /// Fault events from proptest draws: (slot ordinal, kind pick, station
@@ -384,7 +384,7 @@ proptest! {
     /// Metrics ride the active set: for every protocol, workload and fault
     /// plan, and under every fast-forward setting, the metrics are equal
     /// with the active-set scheduler on and off, and turning metrics on
-    /// changes neither the run nor the engine's poll and replay counts
+    /// changes neither the run nor the engine's poll and wake counts
     /// (the same stations are parked and woken either way).
     #[test]
     fn metrics_ride_the_active_set(
@@ -414,9 +414,9 @@ proptest! {
             let run = |active_set: bool, metered: bool| {
                 run_metered(proto, z, medium, &arrivals, (fast, contention, active_set), &plan, metered)
             };
-            let (parked, parked_metrics, parked_polls, parked_replays) = run(true, true);
+            let (parked, parked_metrics, parked_polls, parked_wakes) = run(true, true);
             let (unparked, unparked_metrics, _, _) = run(false, true);
-            let (plain, plain_metrics, plain_polls, plain_replays) = run(true, false);
+            let (plain, plain_metrics, plain_polls, plain_wakes) = run(true, false);
             let tag = format!("fast={fast} contention={contention}");
             prop_assert!(plain_metrics.is_none(), "{}", tag);
             let metrics = parked_metrics.as_ref().expect("a metered run keeps its metrics");
@@ -429,7 +429,7 @@ proptest! {
             prop_assert_eq!(&parked, &unparked, "{}", tag);
             prop_assert_eq!(&parked, &plain, "{}", tag);
             prop_assert_eq!(parked_polls, plain_polls, "{}", tag);
-            prop_assert_eq!(parked_replays, plain_replays, "{}", tag);
+            prop_assert_eq!(parked_wakes, plain_wakes, "{}", tag);
         }
     }
 }
@@ -451,7 +451,7 @@ fn cluster_rounds(rounds: u64, senders: u32) -> Vec<Message> {
 }
 
 /// Runs `arrivals` on an 8-station DDCR bus — to completion, or until
-/// `deadline` — returning the run and the catch-up log's peak length.
+/// `deadline` — returning the run and the engine's wake count.
 fn run_cluster_bus(
     arrivals: &[Message],
     steppers: Steppers,
@@ -472,63 +472,47 @@ fn run_cluster_bus(
             None
         }
     };
-    let peak = engine.catchup_peak_slots();
+    let wakes = engine.replay_count();
     let run = RunDigest {
         outcome,
         now: engine.now(),
         events: engine.trace().events().to_vec(),
         stats: engine.into_stats(),
     };
-    (run, peak)
+    (run, wakes)
 }
 
-/// The catch-up log is bounded by the wake anchor's epoch, not by the run:
-/// on an 8-station bus, stations 0–6 keep running tree searches (each
-/// stepped slot one log entry) while station 7 never
-/// receives a message, so it parks at the first opportunity and stays
-/// parked (station 0, the first synced station, is the active witness).
-/// Compaction must lift the sleeper's cursor to the anchor's epoch instead
-/// of keeping every entry it slept through — the log stays under a
-/// fixed bound however long the run lasts — and the sleeper must still
-/// wake bitwise exact.
+/// A long dormancy wakes exactly: on an 8-station bus, stations 0–6 keep
+/// running tree searches while station 7 never receives a message, so it
+/// parks at the first opportunity and stays parked through every search
+/// (station 0, the first synced station, is the active witness). It wakes
+/// at the end of the run by adopting the witness's shared state, and the
+/// run must match the reference bitwise however long it lasts.
 #[test]
 fn parked_station_does_not_pin_the_catch_up_log() {
-    /// Log-length ceiling. Trimmed, the log holds the anchor's epoch tail
-    /// plus at most one entry watermark: 72 entries at every run length
-    /// here. Untrimmed it holds the whole run, growing with it: 1,055
-    /// entries at 80 rounds, 4,225 at 320.
-    const BOUND: u64 = 512;
-    let mut peaks = Vec::new();
+    let mut wakes = Vec::new();
     for rounds in [80u64, 320] {
         let arrivals = cluster_rounds(rounds, 7);
-        let (active, peak) =
+        let (active, woken) =
             run_cluster_bus(&arrivals, (true, true, true), FaultPlan::none(), None);
         let (reference, _) = run_cluster_bus(&arrivals, REFERENCE, FaultPlan::none(), None);
         assert_eq!(active, reference, "rounds={rounds}");
         assert_eq!(active.stats.deliveries.len() as u64, rounds * 3);
-        assert!(
-            peak <= BOUND,
-            "catch-up log held {peak} entries (bound {BOUND}) over {rounds} rounds"
-        );
-        peaks.push(peak);
+        wakes.push(woken);
     }
     // The runs really parked a station.
     assert!(
-        peaks.iter().all(|&p| p > 0),
-        "nothing was ever parked: {peaks:?}"
+        wakes.iter().all(|&w| w > 0),
+        "nothing was ever parked: {wakes:?}"
     );
 }
 
-/// Crashes and restarts keep the wake anchor and leave parked stations
-/// parked, so a station whose cursor compaction lifted (it can only wake
-/// through the anchor) sleeps through them and must still wake exactly.
-/// Station 1 crashes early; station 7 never holds a message and has its
-/// cursor lifted while traffic lasts. Two restarts strike while it is
-/// lifted: one mid-traffic, and one in the idle tail after the last
-/// delivery, where no later park or wake captures a fresh anchor before
-/// the run ends and wakes station 7. Every stepper configuration must
-/// match the reference bitwise (and the debug build asserts a lifted
-/// station never wakes without its anchor).
+/// Crashes and restarts leave parked stations parked, so a station that
+/// sleeps through them must still wake exactly. Station 1 crashes early;
+/// station 7 never holds a message and sleeps while traffic lasts. Two
+/// restarts strike while it sleeps: one mid-traffic, and one in the idle
+/// tail after the last delivery, before the run ends and wakes station 7.
+/// Every stepper configuration must match the reference bitwise.
 #[test]
 fn lifted_stations_sleep_through_crashes_and_restarts() {
     let arrivals = cluster_rounds(160, 7);
@@ -910,7 +894,7 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
         engine.add_arrivals(arrivals.iter().copied()).unwrap();
         let outcome = engine.run_to_completion(Ticks(60_000_000));
         let polls = engine.poll_count();
-        let replays = engine.replay_count();
+        let wakes = engine.replay_count();
         let slots = engine.slot_ordinal();
         let run = RunDigest {
             outcome: Some(outcome),
@@ -918,10 +902,10 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
             events: engine.trace().events().to_vec(),
             stats: engine.into_stats(),
         };
-        (run, polls, replays, slots)
+        (run, polls, wakes, slots)
     };
 
-    let (active, active_polls, active_replays, slots) =
+    let (active, active_polls, active_wakes, slots) =
         digest(build_engine(proto, Z, medium, (true, true, true)));
     let (reference, reference_polls, _, _) = digest(build_engine(proto, Z, medium, REFERENCE));
 
@@ -933,13 +917,13 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
         active_polls < station_slots / 10,
         "active tier polled {active_polls} of {station_slots} station-slots"
     );
-    // Wake-time catch-up must ride the epoch-anchored shortcut, not degrade
-    // into replaying the whole deferred log for every waking station: the
-    // total entries replayed must stay well under one-log-per-station.
+    // A station wakes only for a delivery or for the end-of-run sync,
+    // and each wake is one O(1) adoption of the witness's shared state.
+    let deliveries = arrivals.len() as u64;
     assert!(
-        active_replays < station_slots / 10,
-        "active tier replayed {active_replays} catch-up entries \
-         over {station_slots} station-slots"
+        active_wakes <= deliveries + u64::from(Z),
+        "active tier woke stations {active_wakes} times \
+         for {deliveries} deliveries over {Z} stations"
     );
     // The comparison is meaningful: the reference really pays O(n) per slot.
     assert!(reference_polls >= station_slots);
@@ -948,13 +932,11 @@ fn sparse_1024_station_network_polls_under_ten_percent() {
 /// A crash costs O(1) wakes, not O(stations): one sparse DDCR workload
 /// (64 messages from stations 0–194) at 256 and at 1024 stations, with
 /// the same single crash and restart of a station that never holds a
-/// message. The crash strikes mid-run, while the sleepers' cursors sit
-/// lifted on the wake anchor. What it adds to the engine's poll and
-/// replay counts over the fault-free run must not grow with the
-/// population: 7 polls and 81 replays at both sizes. Waking every parked
-/// station on the crash added 261 polls and 5,904 replays at 256
-/// stations, 1,029 and 24,336 at 1024; waking only the lifted ones before
-/// dropping the wake anchor, 257 and 5,821, 1,025 and 24,253.
+/// message. The crash strikes mid-run, while most stations sleep. What it
+/// adds to the engine's poll and wake counts over the fault-free run must
+/// not grow with the population: 7 polls and 1 wake at both sizes. Waking
+/// every parked station on the crash added 261 polls at 256 stations and
+/// 1,029 at 1024.
 #[test]
 fn a_crash_costs_constant_wakes_at_any_population() {
     /// How much the crash's added cost may differ between populations.
@@ -981,7 +963,7 @@ fn a_crash_costs_constant_wakes_at_any_population() {
             down_slots: 1_000,
         },
     }]);
-    // (added polls, added replays) of the crash at population `z`. The run
+    // (added polls, added wakes) of the crash at population `z`. The run
     // stops at drain, before the end-of-run sync wakes every station.
     let added = |z: u32| {
         let counters = |plan: &FaultPlan| {
@@ -1006,7 +988,7 @@ fn a_crash_costs_constant_wakes_at_any_population() {
     );
     assert!(
         large.1 <= small.1 + SLACK,
-        "the crash added {} replays at 1024 stations, {} at 256",
+        "the crash added {} wakes at 1024 stations, {} at 256",
         large.1,
         small.1
     );
